@@ -81,13 +81,22 @@ def _vectorized(f):
     return wrapped
 
 
+# Relative roundoff floor of a panel's error estimate, as in QUADPACK's qk15.
+_GK_ROUNDOFF = 50.0 * float(np.finfo(float).eps)
+
+
 def _gk_panel(fh, a, b):
-    """One Gauss-Kronrod pass of an already-vectorized integrand fh."""
+    """One Gauss-Kronrod pass of an already-vectorized integrand fh.
+
+    The error estimate never drops below the roundoff floor, so a tolerance
+    beneath double precision exhausts the panel budget instead of being
+    met by an exact-looking Kronrod-Gauss difference.
+    """
     hw = 0.5 * (b - a)
     vals = fh(0.5 * (a + b) + hw * _XK)
     res_k = hw * float(vals @ _WK)
     res_g = hw * float(vals @ _WG)
-    return res_k, abs(res_k - res_g)
+    return res_k, max(abs(res_k - res_g), _GK_ROUNDOFF * abs(res_k))
 
 
 def weighted_integral(f, h: Density, a: float, b: float,
@@ -309,33 +318,47 @@ def _tri_mv(diag, off, x):
     return y
 
 
-def _smallest_eigenpair(prob: WeightedEigenProblem):
-    """Smallest eigenpair of (A, B) by inverse iteration with a Cholesky-free
-    tridiagonal factorization of A.  Returns (lambda, vector, n_trimmed)."""
+def _smallest_eigenpair(prob: WeightedEigenProblem, shift: float, start):
+    """Smallest eigenpair of (A, B) by shifted inverse iteration.
+
+    The iteration solves with a tridiagonal LDL^T factorization of
+    A - shift*B.  A successful factorization proves shift lies below the
+    smallest eigenvalue, so the iteration still converges to the ground
+    state, at the rate (lambda_1 - shift)/(lambda_2 - shift).  If it fails,
+    or shift is 0, A itself is factored, trimming leading rows whose pivots
+    underflow.  ``start`` (one value per unknown, or None for
+    1 - (theta/r0)^2) seeds the iteration; the Rayleigh quotient always
+    uses the unshifted A.  Returns (lambda, vector, n_trimmed).
+    """
     ad, ao = prob.stiff_diag, prob.stiff_off
     bd, bo = prob.mass_diag, prob.mass_off
     m = ad.size
 
-    # Rows where both matrices underflowed to zero (possible on strongly
-    # graded meshes with large N) carry no information; drop them.
+    # Rows where both matrices underflowed to zero (possible with large N)
+    # carry no information; drop them.
     k0 = 0
     while k0 < m - 2 and ad[k0] == 0.0 and bd[k0] == 0.0:
         k0 += 1
     ad, bd = ad[k0:], bd[k0:]
     ao, bo = ao[k0:], bo[k0:]
 
-    d, e, info = lapack.dpttrf(ad, ao)
-    while info > 0 and k0 < m - 2:
-        # Denormal leading pivots can break positive definiteness; trim more.
-        k0 += 1
-        ad, bd, ao, bo = ad[1:], bd[1:], ao[1:], bo[1:]
-        d, e, info = lapack.dpttrf(ad, ao)
+    info = 1
+    if shift > 0.0:
+        d, e, info = lapack.dpttrf(ad - shift * bd, ao - shift * bo)
     if info != 0:
-        raise NonconvergenceError("factorization", f"tridiagonal factorization failed (info={info})")
+        d, e, info = lapack.dpttrf(ad, ao)
+        while info > 0 and k0 < m - 2:
+            # Denormal leading pivots can break positive definiteness; trim more.
+            k0 += 1
+            ad, bd, ao, bo = ad[1:], bd[1:], ao[1:], bo[1:]
+            d, e, info = lapack.dpttrf(ad, ao)
+        if info != 0:
+            raise NonconvergenceError("factorization", f"tridiagonal factorization failed (info={info})")
 
-    xs = prob.nodes[k0:-1]
-    r0 = prob.nodes[-1]
-    x = 1.0 - (xs / r0) ** 2
+    if start is None:
+        x = 1.0 - (prob.nodes[k0:-1] / prob.nodes[-1]) ** 2
+    else:
+        x = np.array(start[k0:], dtype=float)
     x /= math.sqrt(float(x @ _tri_mv(bd, bo, x)))
 
     mu_prev = None
@@ -465,11 +488,17 @@ def flux_identity_residual(sol: EigenSolution, h: Density) -> float:
     return float(np.max(np.abs(defect)) / denom)
 
 
-def _build_matrix_solution(h, nodes, lam, vec, k0, history, tol):
-    n = nodes.size
+def _nodal_vector(vec, k0, n):
+    """Eigenvector on all n nodes: trimmed leading rows repeat the first
+    value, the Dirichlet end is zero."""
     phi = np.zeros(n)
     phi[k0:n - 1] = vec
     phi[:k0] = vec[0]
+    return phi
+
+
+def _build_matrix_solution(h, nodes, lam, vec, k0, history, tol):
+    phi = _nodal_vector(vec, k0, nodes.size)
     top = float(np.max(np.abs(phi)))
     phi /= top
     phi = np.maximum(phi, 0.0)
@@ -492,10 +521,15 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
                           max_refinements: int = 8) -> EigenSolution:
     """Smallest Dirichlet eigenvalue of the weight h on [0, r0].
 
-    The matrix route refines the mesh by bisection until two successive
-    eigenvalue estimates agree to tol relatively, applies one Richardson
-    step, and accepts only once the flux-identity residual falls below
-    100*tol (the eigenfunction can lag the eigenvalue on rough weights).
+    The matrix route refines the mesh by bisection.  From the second level
+    on, each level's estimate is Richardson-extrapolated,
+    ex_k = lambda_k + (lambda_k - lambda_{k-1})/3, and the route stops once
+    two successive extrapolated values agree to tol relatively (so at least
+    three levels run).  It returns the last extrapolated value, but only
+    once the flux-identity residual falls below 100*tol (the eigenfunction
+    can lag the eigenvalue on rough weights).  Each level after the first
+    runs inverse iteration shifted to 0.99 times the previous level's
+    eigenvalue, started from the previous eigenvector.
     The shooting route brackets around a coarse matrix estimate and
     delegates to ``shoot_eigen``.
     """
@@ -513,20 +547,28 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     include = h.grid if h.kind == "sampled" else ()
     nodes = grid.nodes(r0, include)
     history: list[float] = []
-    prev = None
+    ex_prev = None
+    shift, start = 0.0, None
     stuck_flux = None
     for _ in range(max_refinements + 1):
         prob = assemble_weighted_problem(h, r0, nodes)
-        lam, vec, k0 = _smallest_eigenpair(prob)
+        lam, vec, k0 = _smallest_eigenpair(prob, shift, start)
         history.append(lam)
-        if prev is not None and abs(lam - prev) <= tol * abs(lam):
-            lam_ex = lam + (lam - prev) / 3.0
-            sol = _build_matrix_solution(h, nodes, lam_ex, vec, k0, history, tol)
-            if sol.flux_residual <= 100.0 * tol:
-                return sol
-            stuck_flux = sol.flux_residual
-        prev = lam
-        nodes = _bisect_nodes(nodes)
+        if len(history) > 1:
+            ex = lam + (lam - history[-2]) / 3.0
+            if ex_prev is not None and abs(ex - ex_prev) <= tol * abs(ex):
+                sol = _build_matrix_solution(h, nodes, ex, vec, k0, history, tol)
+                if sol.flux_residual <= 100.0 * tol:
+                    return sol
+                stuck_flux = sol.flux_residual
+            ex_prev = ex
+        # Conforming upper bounds decrease under refinement, so the next
+        # level's eigenvalue lies just below this one: shift to 99 % of it
+        # and start from this eigenvector, interpolated onto the new nodes.
+        shift = 0.99 * lam
+        fine = _bisect_nodes(nodes)
+        start = np.interp(fine[:-1], nodes, _nodal_vector(vec, k0, nodes.size))
+        nodes = fine
     if stuck_flux is not None:
         raise NonconvergenceError(
             "flux",
@@ -535,7 +577,7 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
         )
     raise NonconvergenceError(
         "refinement",
-        f"eigenvalue did not settle to rel tol {tol} within {max_refinements} "
+        f"extrapolated eigenvalue did not settle to rel tol {tol} within {max_refinements} "
         f"refinements (history: {history})",
     )
 

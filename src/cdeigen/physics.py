@@ -128,6 +128,10 @@ def _objective(spec, j, method, solver_tol):
             if exc.code == "infeasible":
                 return math.inf
             raise
+        except NonconvergenceError as exc:
+            raise NonconvergenceError(
+                exc.code, f"at N={N:.17g}, K(N)={kk_curvature(spec, N):.17g}: {exc.message}"
+            ) from exc
     return f
 
 

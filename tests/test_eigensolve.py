@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdeigen.eigensolve import (
     EigenSolution,
@@ -93,6 +95,14 @@ def test_weighted_integral_starvation_raises():
     h = Density.model(0.0, 2.0, right=1.0)
     with pytest.raises(NonconvergenceError) as exc:
         weighted_integral(lambda th: np.cos(50.0 * th), h, 0.0, 1.0, rel_tol=1e-18)
+    assert exc.value.code == "quadrature"
+
+
+def test_weighted_integral_tolerance_below_roundoff_raises():
+    # the integrand is a polynomial, so Kronrod and Gauss agree to roundoff;
+    # a tolerance under double precision must still exhaust the budget
+    with pytest.raises(NonconvergenceError) as exc:
+        weighted_integral(1.0, Density.model(0.0, 3.0), 0.0, 0.7, rel_tol=1e-18)
     assert exc.value.code == "quadrature"
 
 
@@ -240,6 +250,19 @@ def test_refinement_history_is_monotone_upper_bounds():
     assert hist.size >= 2
     assert np.all(np.diff(hist) <= 0.0)  # conforming upper bounds decrease
     assert sol.eigenvalue <= hist[-1]
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(K=st.floats(-4.0, 2.0), N=st.floats(1.5, 8.0),
+       frac=st.floats(0.1, 0.9), stretch=st.floats(1.05, 1.5))
+def test_eigenvalue_decreases_in_r0(K, N, frac, stretch):
+    # Dirichlet monotonicity: a longer interval admits more test functions
+    h = Density.model(K, N)
+    r_big = frac * min(2.0, 0.9 * h.right)
+    r_small = r_big / stretch
+    big = first_dirichlet_eigen(h, r_big).eigenvalue
+    small = first_dirichlet_eigen(h, r_small).eigenvalue
+    assert big < small * (1.0 + 1e-8), (K, N, r_small, r_big)
 
 
 def test_matrix_and_shooting_agree():

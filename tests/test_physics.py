@@ -1,9 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cdeigen.errors import PreconditionError
+from cdeigen import physics
+from cdeigen.bounds import closed_form_bound
+from cdeigen.cli import main
+from cdeigen.errors import NonconvergenceError, PreconditionError
 from cdeigen.modelspace import Density
 from cdeigen.eigensolve import first_dirichlet_eigen
 from cdeigen.physics import (
@@ -172,6 +176,43 @@ def test_optimal_validation():
         kk_mass_bound_optimal(spec_a(), j=-1)
     with pytest.raises(PreconditionError):
         kk_mass_bound_optimal(spec_a(), method="fancy")
+
+
+def test_optimal_scan_failure_names_its_N(monkeypatch):
+    bad_N = 2.0 + float(np.geomspace(1e-3, 1998.0, 8)[3])
+
+    def fake_solver(h, r0, tol):
+        if h.N == bad_N:
+            raise NonconvergenceError("refinement", "budget exhausted")
+        return SimpleNamespace(eigenvalue=closed_form_bound(h.K, h.N, r0).value)
+
+    monkeypatch.setattr(physics, "first_dirichlet_eigen", fake_solver)
+    with pytest.raises(NonconvergenceError) as exc:
+        kk_mass_bound_optimal(spec_a(), method="solver", grid_points=8)
+    assert exc.value.code == "refinement"
+    assert f"N={bad_N:.17g}" in exc.value.message
+    assert f"K(N)={kk_curvature(spec_a(), bad_N):.17g}" in exc.value.message
+    assert "budget exhausted" in exc.value.message
+
+
+def test_default_kk_scan_solver_range(capsys):
+    # the (K(N), N) curve of the default kk-bound scan, r0 = diam/2 = 1,
+    # from the near-singular end N -> 2+ out to N = 2000
+    s = spec_a()
+    for u in np.geomspace(1e-3, 1998.0, 12):
+        N = 2.0 + float(u)
+        K = kk_curvature(s, N)
+        assert K == pytest.approx(1.0 - (N + 2.0) / (N - 2.0), rel=1e-12)
+        h = Density.model(K, N)
+        lam = first_dirichlet_eigen(h, 1.0).eigenvalue
+        assert lam <= closed_form_bound(K, N, 1.0).value * (1.0 + 1e-8), N
+        if 2.01 <= N <= 30.0:
+            shot = first_dirichlet_eigen(h, 1.0, method="shooting").eigenvalue
+            assert shot == pytest.approx(lam, rel=1e-6), N
+    rc = main(["kk-bound", "--D", "6", "--d", "4", "--Lambda", "1", "--sigma", "2",
+               "--diam", "2", "--method", "solver", "--grid-points", "16"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
 
 
 def test_laplacian_apply_polynomial():
