@@ -17,8 +17,6 @@ h dtheta and the flux-identity diagnostic live here as well.
 from __future__ import annotations
 
 import bisect as _bisect_mod
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,17 +84,21 @@ _GK_ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 
 
 def _gk_panel(fh, a, b):
-    """One Gauss-Kronrod pass of an already-vectorized integrand fh.
+    """One Gauss-Kronrod pass over each panel [a[i], b[i]].
 
-    The error estimate never drops below the roundoff floor, so a tolerance
-    beneath double precision exhausts the panel budget instead of being
-    met by an exact-looking Kronrod-Gauss difference.
+    ``a`` and ``b`` are arrays of panel ends; all 15 nodes of every panel go
+    through one call of the already-vectorized integrand fh.  Returns the
+    arrays (res, err) of Kronrod values and error estimates.  An error
+    estimate never drops below the roundoff floor, so a tolerance beneath
+    double precision exhausts the panel budget instead of being met by an
+    exact-looking Kronrod-Gauss difference.
     """
     hw = 0.5 * (b - a)
-    vals = fh(0.5 * (a + b) + hw * _XK)
-    res_k = hw * float(vals @ _WK)
-    res_g = hw * float(vals @ _WG)
-    return res_k, max(abs(res_k - res_g), _GK_ROUNDOFF * abs(res_k))
+    x = (0.5 * (a + b))[:, None] + hw[:, None] * _XK
+    vals = fh(x.ravel()).reshape(x.shape)
+    res_k = hw * (vals @ _WK)
+    res_g = hw * (vals @ _WG)
+    return res_k, np.maximum(np.abs(res_k - res_g), _GK_ROUNDOFF * np.abs(res_k))
 
 
 def weighted_integral(f, h: Density, a: float, b: float,
@@ -105,7 +107,15 @@ def weighted_integral(f, h: Density, a: float, b: float,
 
     ``f`` may be a constant or a numpy-vectorizable callable.  The initial
     partition is graded toward a vanishing left endpoint and includes the
-    sample nodes of sampled densities, so integrands stay smooth per panel.
+    sample nodes of sampled densities, so integrands stay smooth per panel;
+    all its panels are evaluated in one ``_gk_panel`` call.  Refinement then
+    runs in rounds.  Each round bisects every panel whose error estimate
+    exceeds its equal share rel_tol*|total|/n_panels of the target (the worst
+    panel when none does) and evaluates all the halves in one call.  When
+    the round would take the partition past ``max_intervals`` panels, only
+    the largest errors are split.  Panels narrower than 64 eps (b - a) are
+    frozen.  NonconvergenceError("quadrature") is raised once the budget is
+    spent or every panel is frozen.
     """
     if not isinstance(h, Density):
         raise PreconditionError("domain", "h must be a Density instance")
@@ -121,49 +131,42 @@ def weighted_integral(f, h: Density, a: float, b: float,
     hv = _vectorized(h)
     fh = lambda x: fv(x) * hv(x)
 
-    breaks = {a, b}
+    breaks = [np.array([a, b])]
     if h.kind == "sampled":
-        breaks.update(float(t) for t in h.grid if a < t < b)
+        breaks.append(h.grid[(h.grid > a) & (h.grid < b)])
     if a == 0.0 and float(h(0.0)) == 0.0:
-        breaks.update(a + (b - a) * g for g in (1e-6, 1e-4, 1e-2, 1e-1))
-    pts = sorted(breaks)
+        breaks.append(a + (b - a) * np.array([1e-6, 1e-4, 1e-2, 1e-1]))
+    pts = np.unique(np.concatenate(breaks))
+    lo, hi = pts[:-1], pts[1:]
+    res, err = _gk_panel(fh, lo, hi)
 
-    counter = itertools.count()
-    heap = []
-    total = 0.0
-    err_total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        res, err = _gk_panel(fh, lo, hi)
-        total += res
-        err_total += err
-        heapq.heappush(heap, (-err, next(counter), lo, hi, res, err))
-
-    n_panels = len(pts) - 1
     min_width = 64.0 * np.finfo(float).eps * (b - a)
-    settled_err = 0.0
-    while err_total + settled_err > rel_tol * max(abs(total), 1e-300):
-        if not heap or n_panels >= max_intervals:
+    while True:
+        total = float(res.sum())
+        target = rel_tol * max(abs(total), 1e-300)
+        if err.sum() <= target:
+            return total
+        # Panels too narrow to bisect in double precision stay frozen.
+        wide = hi - lo >= min_width
+        if lo.size >= max_intervals or not wide.any():
             raise NonconvergenceError(
                 "quadrature",
-                f"adaptive quadrature stalled at {n_panels} panels with "
-                f"relative error {(err_total + settled_err) / max(abs(total), 1e-300):.3e}",
+                f"adaptive quadrature stalled at {lo.size} panels with "
+                f"relative error {err.sum() / max(abs(total), 1e-300):.3e}",
             )
-        _, _, lo, hi, res, err = heapq.heappop(heap)
-        err_total -= err
-        total -= res
-        if hi - lo < min_width:
-            # Cannot split further in double precision; freeze this panel.
-            total += res
-            settled_err += err
-            continue
-        mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            res_s, err_s = _gk_panel(fh, *seg)
-            total += res_s
-            err_total += err_s
-            heapq.heappush(heap, (-err_s, next(counter), seg[0], seg[1], res_s, err_s))
-        n_panels += 1
-    return total
+        split = wide & (err > target / lo.size)
+        if not split.any():
+            split[np.argmax(np.where(wide, err, -np.inf))] = True
+        idx = np.flatnonzero(split)
+        room = max_intervals - lo.size
+        if idx.size > room:
+            idx = idx[np.argsort(-err[idx], kind="stable")[:room]]
+        mid = 0.5 * (lo[idx] + hi[idx])
+        new_lo = np.concatenate((lo[idx], mid))
+        new_hi = np.concatenate((mid, hi[idx]))
+        new_res, new_err = _gk_panel(fh, new_lo, new_hi)
+        lo, hi, res, err = (np.concatenate((np.delete(old, idx), new)) for old, new in
+                            ((lo, new_lo), (hi, new_hi), (res, new_res), (err, new_err)))
 
 
 # ------------------------------------------------------------------ grids
@@ -437,8 +440,7 @@ def _slope_kinks(h: Density):
     """
     if h.kind != "sampled":
         return []
-    g = h.values ** (1.0 / (h.interp_dim - 1.0))
-    s = np.diff(g) / np.diff(h.grid)
+    s = np.diff(h.g_values) / np.diff(h.grid)
     jump = np.abs(np.diff(s))
     scale = np.maximum(np.abs(s[:-1]), np.abs(s[1:]))
     mask = jump > 0.2 * np.maximum(scale, 1e-300)
@@ -605,7 +607,7 @@ def _fast_log_derivative(h: Density):
         return dlog
 
     p = h.interp_dim - 1.0
-    gvals = (h.values ** (1.0 / p)).tolist()
+    gvals = h.g_values.tolist()
     grid = h.grid.tolist()
     nseg = len(grid) - 1
 

@@ -15,7 +15,7 @@ weight attains equality for every admissible triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,7 +186,8 @@ class Density:
     Two kinds exist.  ``model`` densities evaluate the closed form h_{K,N}.
     ``sampled`` densities carry nodes and values; between nodes they
     interpolate h^(1/(interp_dim - 1)) piecewise-linearly, which preserves
-    the CD inequality structure under refinement.
+    the CD inequality structure under refinement.  Those node values
+    g = values^(1/(interp_dim - 1)) are computed once, as ``g_values``.
     """
 
     kind: str
@@ -196,6 +197,12 @@ class Density:
     grid: np.ndarray | None = None
     values: np.ndarray | None = None
     interp_dim: float = 2.0
+    g_values: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "sampled":
+            object.__setattr__(self, "g_values",
+                               self.values ** (1.0 / (self.interp_dim - 1.0)))
 
     @classmethod
     def model(cls, K: float, N: float, right: float | None = None) -> "Density":
@@ -245,9 +252,7 @@ class Density:
         th = np.minimum(th, self.right)
         if self.kind == "model":
             return model_density(self.K, self.N, th)
-        p = self.interp_dim - 1.0
-        gvals = self.values ** (1.0 / p)
-        out = np.interp(th, self.grid, gvals) ** p
+        out = np.interp(th, self.grid, self.g_values) ** (self.interp_dim - 1.0)
         return float(out) if np.ndim(theta) == 0 else out
 
     def log_derivative(self, theta: float) -> float:
@@ -259,7 +264,7 @@ class Density:
             kap = self.K / (self.N - 1)
             return (self.N - 1) * s_kappa_prime(kap, theta) / s_kappa(kap, theta)
         p = self.interp_dim - 1.0
-        gvals = self.values ** (1.0 / p)
+        gvals = self.g_values
         i = int(np.searchsorted(self.grid, theta, side="right") - 1)
         i = min(max(i, 0), self.grid.size - 2)
         slope = (gvals[i + 1] - gvals[i]) / (self.grid[i + 1] - self.grid[i])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdeigen.comparison import (
     ComparisonReport,
@@ -174,3 +176,14 @@ def test_property_random_family_gaps_nonnegative():
                 rep = comparison_residual(h, K, N, r0, float(theta),
                                           check_density=False)
                 assert rep.gap >= -tol * max(abs(rep.rhs), 1.0), (K, N, r0, theta)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(K=st.floats(-3.0, 1.0), N=st.floats(2.0, 6.0), r0=st.floats(0.4, 1.5),
+       frac=st.floats(0.2, 1.0))
+def test_family_gap_nonnegative_property(K, N, r0, frac):
+    # every CD(K,N) family member passes the scan and keeps the inequality
+    tol = composed_tolerance()
+    for h in cd_density_family(K, N, r0, count=3):
+        rep = comparison_residual(h, K, N, r0, frac * r0, lattice=(16, 5))
+        assert rep.gap >= -tol * rep.rhs, (K, N, r0, frac, h.kind, h.K)

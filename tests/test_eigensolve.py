@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from cdeigen import eigensolve
 from cdeigen.eigensolve import (
     EigenSolution,
     GridSpec,
@@ -62,6 +65,12 @@ def test_weighted_integral_sampled_matches_segment_closed_form():
     vals = np.array([0.0, 0.9, 2.0, 1.3, 1.1])
     dim = 3.0
     h = Density.sampled(grid, vals, interp_dim=dim)
+    exact = _sampled_mass_closed_form(grid, vals, dim)
+    assert weighted_integral(1.0, h, 0.0, 2.0) == pytest.approx(exact, rel=1e-11)
+
+
+def _sampled_mass_closed_form(grid, vals, dim):
+    """int h over the whole grid, summed from the per-segment power formula."""
     p = dim - 1.0
     g = vals ** (1.0 / p)
     exact = 0.0
@@ -72,7 +81,57 @@ def test_weighted_integral_sampled_matches_segment_closed_form():
             exact += g[i] ** p * w
         else:
             exact += (g[i + 1] ** (p + 1) - g[i] ** (p + 1)) / (s * (p + 1))
+    return exact
+
+
+def test_weighted_integral_batches_panels(monkeypatch):
+    # the whole initial partition of a 3201-node density is one _gk_panel
+    # call, and each refinement round adds at most one more
+    calls = []
+    gk_panel = eigensolve._gk_panel
+
+    def counting(fh, a, b):
+        calls.append(np.size(a))
+        return gk_panel(fh, a, b)
+
+    monkeypatch.setattr(eigensolve, "_gk_panel", counting)
+    grid = np.linspace(0.0, 2.0, 3201)
+    vals = (grid * (1.5 + np.sin(5.0 * grid))) ** 2
+    h = Density.sampled(grid, vals, interp_dim=3.0)
+    exact = _sampled_mass_closed_form(grid, vals, 3.0)
     assert weighted_integral(1.0, h, 0.0, 2.0) == pytest.approx(exact, rel=1e-11)
+    assert 1 <= len(calls) <= 4
+    assert calls[0] >= 3200
+
+    # an oscillatory integrand needs refinement: int_0^1 theta cos(30 theta)
+    calls.clear()
+    val = weighted_integral(lambda th: np.cos(30.0 * th), Density.model(0.0, 2.0, right=1.0),
+                            0.0, 1.0)
+    exact = (math.cos(30.0) - 1.0) / 900.0 + math.sin(30.0) / 30.0
+    assert val == pytest.approx(exact, rel=1e-11)
+    assert 1 < len(calls) <= 4
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(widths=st.lists(st.floats(0.05, 0.5), min_size=2, max_size=11),
+       vals=st.lists(st.floats(0.1, 2.0), min_size=12, max_size=12),
+       dim=st.floats(1.5, 5.0),
+       coef=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+       frac=st.floats(0.3, 1.0))
+def test_weighted_integral_matches_scipy_quad(widths, vals, dim, coef, frac):
+    # random sampled weight times a positive cubic, against QUADPACK
+    grid = np.concatenate(([0.0], np.cumsum(widths)))
+    h = Density.sampled(grid, vals[:grid.size], interp_dim=dim)
+    b = frac * h.right
+    poly = np.concatenate(([1.0], coef))
+
+    def f(th):
+        return np.polynomial.polynomial.polyval(th / h.right, poly)
+
+    inside = [t for t in grid if 0.0 < t < b]
+    ref, _ = quad(lambda t: f(t) * h(t), 0.0, b, points=inside or None,
+                  epsabs=0.0, epsrel=1e-12, limit=200)
+    assert weighted_integral(f, h, 0.0, b) == pytest.approx(ref, rel=1e-9)
 
 
 def test_weighted_integral_argument_validation():
@@ -104,6 +163,17 @@ def test_weighted_integral_tolerance_below_roundoff_raises():
     with pytest.raises(NonconvergenceError) as exc:
         weighted_integral(1.0, Density.model(0.0, 3.0), 0.0, 0.7, rel_tol=1e-18)
     assert exc.value.code == "quadrature"
+
+
+def test_weighted_integral_split_stays_within_panel_budget():
+    # a round that flags every panel must still stop at max_intervals
+    h = Density.model(0.0, 2.0, right=1.0)
+    with pytest.raises(NonconvergenceError) as exc:
+        weighted_integral(lambda th: np.cos(50.0 * th), h, 0.0, 1.0, rel_tol=1e-18,
+                          max_intervals=64)
+    assert exc.value.code == "quadrature"
+    panels = int(re.search(r"stalled at (\d+) panels", exc.value.message).group(1))
+    assert panels <= 64
 
 
 def test_gridspec_uniform_and_geometric():
