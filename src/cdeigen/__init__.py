@@ -8,7 +8,6 @@ from .errors import CdeigenError, NonconvergenceError, PreconditionError
 from .modelspace import (
     CdCheckReport,
     Density,
-    ModelParams,
     check_cd_density,
     max_diameter,
     model_density,
@@ -30,7 +29,6 @@ from .eigensolve import (
 from .bounds import (
     BoundValue,
     bessel_first_zero,
-    bessel_j,
     closed_form_bound,
     essential_spectrum_threshold,
     neumann_upper_bound,
@@ -49,7 +47,6 @@ from .physics import (
     kk_curvature,
     kk_mass_bound_at,
     kk_mass_bound_optimal,
-    weighted_laplacian_apply,
 )
 
 __all__ = [
@@ -59,7 +56,6 @@ __all__ = [
     "PreconditionError",
     "CdCheckReport",
     "Density",
-    "ModelParams",
     "check_cd_density",
     "max_diameter",
     "model_density",
@@ -77,7 +73,6 @@ __all__ = [
     "weighted_integral",
     "BoundValue",
     "bessel_first_zero",
-    "bessel_j",
     "closed_form_bound",
     "essential_spectrum_threshold",
     "neumann_upper_bound",
@@ -92,5 +87,4 @@ __all__ = [
     "kk_curvature",
     "kk_mass_bound_at",
     "kk_mass_bound_optimal",
-    "weighted_laplacian_apply",
 ]

@@ -1,10 +1,11 @@
 """Closed-form eigenvalue bounds and first Bessel zeros.
 
-Bessel functions of real order are evaluated in-house: ascending series for
-small argument, Miller-style backward recurrence for large argument.  First
-zeros are bracketed by nu < j_{nu,1} and j_{nu,1}^2 < 2(nu+1)(nu+3), located
-by Brent root finding, and polished with a Newton step carried out in
-extended precision, which certifies the 1e-12 relative-accuracy contract.
+J_nu and its derivative come from ``scipy.special``.  The first zero j_{nu,1}
+lies in (max(nu, 0), sqrt(2(nu+1)(nu+3))).  For nu <= 10 it is located by
+Brent root finding on that bracket; for larger orders by Newton iteration
+from an Airy-type starting guess, with capped steps and a final bracket
+check.  Both meet the 1e-12 relative-accuracy contract of
+``bessel_first_zero``.
 """
 
 from __future__ import annotations
@@ -13,163 +14,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import jv, jvp
 
 from .errors import NonconvergenceError, PreconditionError
 from .modelspace import max_diameter, s_kappa
 
-_MILLER_SWITCH = 12.0
-
-
-def _bessel_j_series(nu: float, x: float) -> float:
-    q = 0.25 * x * x
-    term = (0.5 * x) ** nu / math.gamma(nu + 1.0)
-    total = term
-    for k in range(1, 400):
-        term *= -q / (k * (nu + k))
-        total += term
-        if abs(term) <= 1e-18 * abs(total) + 1e-300:
-            return total
-    raise NonconvergenceError("series", f"Bessel series stalled at nu={nu}, x={x}")
-
-
-def _miller_start(nu: float, x: float) -> int:
-    """Start index for the backward recurrence at order nu, argument x.
-
-    Two constraints.  The start order must sit safely above the turning
-    point mu = x so the seed direction is the recessive one.  And the
-    normalization series sum_k c_k J_{nu+2k}(x) must be summed through its
-    largest term: c_k grows like (nu+k)/k per step while J_{nu+2k}(x)
-    decays like exp(-2 acosh((nu+2k)/x)) per step, so for large nu the
-    peak sits far beyond the turning point.
-    """
-    base = max(x - nu, 0.0) + 15.0 * x ** (1.0 / 3.0) + 20.0
-    if nu <= 1.0:
-        return int(base)
-
-    def net_decay(k: float) -> float:
-        mu = nu + 2.0 * k
-        shrink = 2.0 * math.acosh(mu / x) if mu > x else 0.0
-        return shrink - math.log((nu + k) / k)
-
-    k = max(0.5 * (x - nu), 1.0)
-    while net_decay(k) < 0.0 and k < 1e9:
-        k *= 2.0
-    # Walk past the peak until the terms have dropped by ~45 nats.
-    drop = 0.0
-    step = max(1.0, 0.01 * k)
-    while drop < 45.0 and k < 2e9:
-        drop += net_decay(k) * step
-        k += step
-    return int(max(base, 2.0 * k + 8.0))
-
-
-def _bessel_j_miller(nu: float, x: float) -> float:
-    m = _miller_start(nu, x)
-    f_up = 0.0
-    f = 1e-30
-    vals = [0.0] * (m + 1)
-    vals[m] = f
-    for k in range(m, 0, -1):
-        f_down = 2.0 * (nu + k) / x * f - f_up
-        f_up, f = f, f_down
-        vals[k - 1] = f
-        if abs(f) > 1e250:
-            f *= 1e-250
-            f_up *= 1e-250
-            for i in range(k - 1, m + 1):
-                vals[i] *= 1e-250
-    # Normalization: sum_k c_k J_{nu+2k}(x) = (x/2)^nu with
-    # c_0 = Gamma(nu+1), c_k = (nu+2k) Gamma(nu+k) / k!.  The scale of the
-    # recurrence values is arbitrary, so everything is combined in logs.
-    terms = []
-    lc = math.lgamma(nu + 1.0)
-    for k in range(0, m // 2 + 1):
-        if k > 0:
-            lc = math.log(nu + 2.0 * k) + math.lgamma(nu + k) - math.lgamma(k + 1.0)
-        v = vals[2 * k]
-        if v != 0.0:
-            terms.append((lc + math.log(abs(v)), 1.0 if v > 0 else -1.0))
-    if not terms or vals[0] == 0.0:
-        return 0.0
-    top = max(t[0] for t in terms)
-    s = sum(sign * math.exp(l - top) for l, sign in terms)
-    if s == 0.0:
-        raise NonconvergenceError("recurrence", f"Miller normalization vanished at nu={nu}, x={x}")
-    log_mag = math.log(abs(vals[0])) + nu * math.log(0.5 * x) - top - math.log(abs(s))
-    sign = (1.0 if vals[0] > 0 else -1.0) * (1.0 if s > 0 else -1.0)
-    return sign * math.exp(log_mag)
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """J_nu(x) for real order nu > -1 and x > 0."""
-    if not nu > -1.0:
-        raise PreconditionError("domain", f"order must exceed -1, got {nu}")
-    if not x > 0:
-        raise PreconditionError("domain", f"argument must be positive, got {x}")
-    if x <= _MILLER_SWITCH:
-        return _bessel_j_series(nu, x)
-    return _bessel_j_miller(nu, x)
-
-
-def _bessel_j_mp(nu, x):
-    """Ascending series in working mpmath precision (small/moderate x only)."""
-    nu = mp.mpf(nu)
-    x = mp.mpf(x)
-    q = x * x / 4
-    term = (x / 2) ** nu * mp.rgamma(nu + 1)
-    total = term
-    tiny = mp.mpf(10) ** (-mp.mp.dps - 8)
-    scale = abs(total)
-    for k in range(1, 600):
-        term *= -q / (k * (nu + k))
-        total += term
-        scale = max(scale, abs(total))
-        if abs(term) <= tiny * (1 + scale):
-            return total
-    raise NonconvergenceError("series", "extended-precision Bessel series stalled")
-
-
-def _polish_zero_mp(nu: float, x0: float) -> float:
-    with mp.workdps(30):
-        x = mp.mpf(x0)
-        nu_mp = mp.mpf(nu)
-        for _ in range(2):
-            j = _bessel_j_mp(nu_mp, x)
-            if nu == 0.0:
-                jp = -_bessel_j_mp(mp.mpf(1), x)
-            else:
-                jp = _bessel_j_mp(nu_mp - 1, x) - nu_mp / x * j
-            x -= j / jp
-        return float(x)
-
-
 # First-zero expansion in powers of nu^(-1/3); classical large-order result,
 # already accurate to ~1e-4 relative at nu = 10.
 _AIRY_COEFFS = (1.8557571, 1.033150, -0.00397, -0.0908, 0.043)
-
-
-def _newton_correction(nu: float, x: float) -> float:
-    """J_nu(x) / J_nu'(x) from one backward recurrence.
-
-    The recurrence values share a single unknown scale, and the Newton
-    correction is a ratio, so no normalization sum is needed: extending one
-    step below the target order gives J_{nu-1}/J_nu, and
-    J_nu' = J_{nu-1} - (nu/x) J_nu.
-    """
-    m = int(max(x - nu, 0.0) + 15.0 * x ** (1.0 / 3.0) + 20.0)
-    f_up = 0.0
-    f = 1e-30
-    for k in range(m, 0, -1):
-        f_down = 2.0 * (nu + k) / x * f - f_up
-        f_up, f = f, f_down
-        if abs(f) > 1e250:
-            f *= 1e-250
-            f_up *= 1e-250
-    f_below = 2.0 * nu / x * f - f_up
-    return f / (f_below - nu / x * f)
 
 
 def _zero_large_order(nu: float) -> float:
@@ -178,7 +32,7 @@ def _zero_large_order(nu: float) -> float:
     x = nu + t[0] * c + t[1] / c + t[2] / nu + t[3] / (nu * c) + t[4] / (nu * nu / c)
     cap = 2.0 * c
     for _ in range(60):
-        dx = _newton_correction(nu, x)
+        dx = jv(nu, x) / jvp(nu, x)
         if not math.isfinite(dx):
             raise NonconvergenceError("newton", f"first-zero Newton broke down at nu={nu}")
         dx = max(-cap, min(cap, dx))
@@ -187,7 +41,7 @@ def _zero_large_order(nu: float) -> float:
             if not nu < x < math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0)):
                 raise NonconvergenceError(
                     "newton", f"first-zero Newton left its bracket at nu={nu}")
-            return x
+            return float(x)
     raise NonconvergenceError("newton", f"first-zero Newton iteration stalled at nu={nu}")
 
 
@@ -201,7 +55,7 @@ def bessel_first_zero(nu: float) -> float:
         return _zero_large_order(nu)
     hi = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
     lo = nu if nu >= 0.5 else 1e-3 * hi
-    f = lambda x: bessel_j(nu, x)
+    f = lambda x: jv(nu, x)
     f_hi = f(hi)
     tries = 0
     while f_hi > 0 and tries < 4:
@@ -210,10 +64,8 @@ def bessel_first_zero(nu: float) -> float:
         tries += 1
     if f_hi > 0:
         raise PreconditionError("bracket", f"no sign change of J_nu below {hi} for nu={nu}")
-    x0 = brentq(f, lo, hi, xtol=1e-10, rtol=1e-12)
-    if x0 <= 30.0:
-        return _polish_zero_mp(nu, x0)
-    return float(x0)
+    # xtol scales with the bracket because j_{nu,1} -> 0 as nu -> -1.
+    return float(brentq(f, lo, hi, xtol=1e-15 * hi, rtol=4.0 * np.finfo(float).eps))
 
 
 @dataclass(frozen=True)

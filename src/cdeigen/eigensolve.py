@@ -173,33 +173,23 @@ def weighted_integral(f, h: Density, a: float, b: float,
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Initial mesh recipe: node count plus uniform or geometric grading.
+    """Initial mesh recipe: ``node_count`` uniform nodes on [0, r0].
 
-    Geometric grading clusters nodes toward theta = 0 with the given ratio.
-    The uniform default is adequate because the first eigenfunction is
-    smooth up to the vanishing-weight end (it is analytic in theta^2 there);
-    only the weight is singular, and that is handled by per-element
-    quadrature, not by the mesh.
+    A uniform mesh is adequate because the first eigenfunction is smooth up
+    to the vanishing-weight end (it is analytic in theta^2 there); only the
+    weight is singular, and that is handled by per-element quadrature, not
+    by the mesh.  ``nodes`` also inserts any ``include`` points inside
+    (0, r0), such as the sample nodes of a sampled density.
     """
 
     node_count: int = 512
-    grading: str = "uniform"
-    ratio: float = 0.9
 
     def __post_init__(self):
         if self.node_count < 16:
             raise PreconditionError("domain", f"node_count must be >= 16, got {self.node_count}")
-        if self.grading not in ("uniform", "geometric"):
-            raise PreconditionError("domain", f"unknown grading {self.grading!r}")
-        if not 0.0 < self.ratio < 1.0:
-            raise PreconditionError("domain", f"geometric ratio must lie in (0,1), got {self.ratio}")
 
     def nodes(self, r0: float, include=()) -> np.ndarray:
-        if self.grading == "uniform":
-            base = np.linspace(0.0, r0, self.node_count)
-        else:
-            tail = r0 * self.ratio ** np.arange(self.node_count - 2, -1, -1)
-            base = np.concatenate(([0.0], tail))
+        base = np.linspace(0.0, r0, self.node_count)
         extra = [t for t in include if 0.0 < t < r0]
         if extra:
             base = np.union1d(base, np.asarray(extra, dtype=float))
@@ -237,15 +227,6 @@ class WeightedEigenProblem:
     @property
     def n_unknowns(self) -> int:
         return self.stiff_diag.size
-
-    def dense(self):
-        m = self.n_unknowns
-        A = np.diag(self.stiff_diag)
-        B = np.diag(self.mass_diag)
-        idx = np.arange(m - 1)
-        A[idx, idx + 1] = A[idx + 1, idx] = self.stiff_off
-        B[idx, idx + 1] = B[idx + 1, idx] = self.mass_off
-        return A, B
 
 
 _QX, _QW = np.polynomial.legendre.leggauss(8)
@@ -586,8 +567,9 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
 
 # ------------------------------------------------------------------ shooting
 
-def _fast_log_derivative(h: Density):
-    """Scalar-fast (log h)' for the shooting right-hand side."""
+def _log_derivative(h: Density):
+    """(log h)' as a scalar function on Python floats, for the shooting
+    right-hand side."""
     if h.kind == "model":
         nm1 = h.N - 1.0
         kap = h.K / nm1
@@ -628,7 +610,7 @@ def _shooting_machinery(h: Density, r0: float):
     heps = float(h(eps0))
     if not heps > 0:
         raise PreconditionError("domain", "density vanishes at the shooting start point")
-    dlog = _fast_log_derivative(h)
+    dlog = _log_derivative(h)
 
     def integrate(lam, dense=False):
         def rhs(t, y):

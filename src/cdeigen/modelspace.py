@@ -151,34 +151,6 @@ def model_density(K: float, N: float, theta):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Bundle (K, N, r0) describing a model space restricted to [0, r0]."""
-
-    K: float
-    N: float
-    r0: float
-
-    def __post_init__(self):
-        if self.N <= 1:
-            raise PreconditionError("domain", f"N must exceed 1, got {self.N}")
-        if not self.r0 > 0 or not math.isfinite(self.r0):
-            raise PreconditionError("domain", f"r0 must be positive and finite, got {self.r0}")
-        if self.K > 0 and self.r0 >= max_diameter(self.K, self.N):
-            raise PreconditionError(
-                "domain",
-                f"r0 = {self.r0} must stay below the diameter bound "
-                f"{max_diameter(self.K, self.N)} for K = {self.K} > 0",
-            )
-
-    @property
-    def diameter_bound(self) -> float:
-        return max_diameter(self.K, self.N)
-
-    def density(self) -> "Density":
-        return Density.model(self.K, self.N)
-
-
 @dataclass(frozen=True, eq=False)
 class Density:
     """A weight h on [0, right]; the reference measure is h(theta) d(theta).
@@ -254,24 +226,6 @@ class Density:
             return model_density(self.K, self.N, th)
         out = np.interp(th, self.grid, self.g_values) ** (self.interp_dim - 1.0)
         return float(out) if np.ndim(theta) == 0 else out
-
-    def log_derivative(self, theta: float) -> float:
-        """(log h)'(theta) at a single interior point."""
-        theta = float(theta)
-        if not 0 < theta < self.right:
-            raise PreconditionError("domain", "log_derivative needs an interior point")
-        if self.kind == "model":
-            kap = self.K / (self.N - 1)
-            return (self.N - 1) * s_kappa_prime(kap, theta) / s_kappa(kap, theta)
-        p = self.interp_dim - 1.0
-        gvals = self.g_values
-        i = int(np.searchsorted(self.grid, theta, side="right") - 1)
-        i = min(max(i, 0), self.grid.size - 2)
-        slope = (gvals[i + 1] - gvals[i]) / (self.grid[i + 1] - self.grid[i])
-        g = gvals[i] + slope * (theta - self.grid[i])
-        if g <= 0:
-            raise PreconditionError("domain", "density vanishes at the requested point")
-        return p * slope / g
 
     def positive_on_interior(self, r0: float) -> bool:
         """True when no sample node in (0, r0) carries a zero value."""

@@ -199,41 +199,3 @@ def kk_mass_bound_optimal(spec: CompactificationSpec, j: int = 1,
         j=int(j), N_star=N_star, K_star=kk_curvature(spec, N_star),
         bound=float(bound), method=method, profile=profile, bracketed=True, note="",
     )
-
-
-def weighted_laplacian_apply(psi_samples, f_samples, metric_1d_grid) -> np.ndarray:
-    """-(psi'' + f' psi') on the interior nodes of a 1-D grid.
-
-    Sign convention matches the eigenproblem: applying this to the first
-    model eigenfunction with f = log h_{K,N} returns approximately
-    lambda * psi at interior nodes.  Boundary entries are set to zero; only
-    interior values are meaningful.
-    """
-    psi = np.asarray(psi_samples, dtype=float)
-    fs = np.asarray(f_samples, dtype=float)
-    x = np.asarray(metric_1d_grid, dtype=float)
-    if not (psi.ndim == fs.ndim == x.ndim == 1):
-        raise PreconditionError("grid-mismatch", "inputs must be 1-d arrays")
-    if not (psi.size == fs.size == x.size):
-        raise PreconditionError(
-            "grid-mismatch",
-            f"lengths differ: psi {psi.size}, f {fs.size}, grid {x.size}",
-        )
-    if x.size < 3:
-        raise PreconditionError("grid-mismatch", "need at least 3 grid nodes")
-    if np.any(np.diff(x) <= 0):
-        raise PreconditionError("grid-mismatch", "grid must be strictly increasing")
-
-    hl = x[1:-1] - x[:-2]
-    hr = x[2:] - x[1:-1]
-    w = hl * hr * (hl + hr)
-
-    def d1(y):
-        return (hl ** 2 * y[2:] - hr ** 2 * y[:-2] + (hr ** 2 - hl ** 2) * y[1:-1]) / w
-
-    def d2(y):
-        return 2.0 * (hl * y[2:] + hr * y[:-2] - (hl + hr) * y[1:-1]) / w
-
-    out = np.zeros_like(psi)
-    out[1:-1] = -(d2(psi) + d1(fs) * d1(psi))
-    return out

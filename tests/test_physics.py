@@ -16,7 +16,6 @@ from cdeigen.physics import (
     kk_curvature,
     kk_mass_bound_at,
     kk_mass_bound_optimal,
-    weighted_laplacian_apply,
 )
 
 
@@ -213,51 +212,3 @@ def test_default_kk_scan_solver_range(capsys):
                "--diam", "2", "--method", "solver", "--grid-points", "16"])
     out, err = capsys.readouterr()
     assert rc == 0, err
-
-
-def test_laplacian_apply_polynomial():
-    x = np.linspace(0.0, 1.0, 401)
-    psi = x ** 2
-    f = np.ones_like(x)
-    out = weighted_laplacian_apply(psi, f, x)
-    assert out[0] == 0.0 and out[-1] == 0.0
-    interior = out[1:-1]
-    assert np.allclose(interior, -2.0, atol=1e-6)
-
-
-def test_laplacian_apply_nonuniform_grid():
-    rng = np.random.default_rng(42)
-    x = np.sort(rng.uniform(0.0, 1.0, 300))
-    x[0], x[-1] = 0.0, 1.0
-    psi = np.sin(2.0 * x)
-    f = np.full_like(x, 3.0)
-    out = weighted_laplacian_apply(psi, f, x)
-    # -(f psi')'/f = -psi'' for constant f
-    assert np.allclose(out[1:-1], 4.0 * np.sin(2.0 * x[1:-1]), atol=5e-2)
-
-
-def test_laplacian_apply_recovers_eigen_equation():
-    # -(psi'' + (log h)' psi') = lambda psi for the converged eigenpair
-    h = Density.model(-2.0, 3.0)
-    sol = first_dirichlet_eigen(h, 1.0)
-    x = sol.grid[1:]  # stay off the vanishing-weight endpoint
-    logh = np.log(np.asarray(h(x)))
-    out = weighted_laplacian_apply(sol.phi[1:], logh, x)
-    inner = slice(x.size // 10, -x.size // 10)
-    resid = out[inner] - sol.eigenvalue * sol.phi[1:][inner]
-    assert np.max(np.abs(resid)) < 5e-3 * sol.eigenvalue
-
-
-def test_laplacian_apply_validation():
-    x = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(PreconditionError) as exc:
-        weighted_laplacian_apply(np.zeros(4), np.ones(5), x)
-    assert exc.value.code == "grid-mismatch"
-    with pytest.raises(PreconditionError):
-        weighted_laplacian_apply(np.zeros((5, 1)), np.ones(5), x)
-    with pytest.raises(PreconditionError):
-        weighted_laplacian_apply(np.zeros(2), np.ones(2), x[:2])
-    bad = x.copy()
-    bad[2] = bad[1]
-    with pytest.raises(PreconditionError):
-        weighted_laplacian_apply(np.zeros(5), np.ones(5), bad)
