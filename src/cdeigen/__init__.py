@@ -12,9 +12,6 @@ from .modelspace import (
     max_diameter,
     model_density,
     s_kappa,
-    s_kappa_prime,
-    sigma_coeff,
-    tau_coeff,
 )
 from .eigensolve import (
     EigenSolution,
@@ -60,9 +57,6 @@ __all__ = [
     "max_diameter",
     "model_density",
     "s_kappa",
-    "s_kappa_prime",
-    "sigma_coeff",
-    "tau_coeff",
     "EigenSolution",
     "GridSpec",
     "WeightedEigenProblem",

@@ -155,18 +155,11 @@ def _compute_model_eigen(p):
 def _compute_check_density(p):
     h = load_density_csv(p.csv, interp_dim=p.interp_dim)
     interval = _parse_float_pair(p.interval, "interval") if p.interval else None
-    rep = check_cd_density(
-        h, p.K, p.N,
-        resolution=_parse_int_pair(p.lattice, "lattice"),
-        tolerance=p.tol,
-        interval=interval,
-    )
+    rep = check_cd_density(h, p.K, p.N, tolerance=p.tol, interval=interval)
     result = {
         "satisfied": rep.satisfied,
         "worst_violation": rep.worst_violation,
-        "witness_theta0": rep.witness[0],
-        "witness_theta1": rep.witness[1],
-        "witness_t": rep.witness[2],
+        "witness_theta": rep.witness,
     }
     diagnostics = {
         "triples_checked": rep.triples_checked,
@@ -284,11 +277,6 @@ def _parse_float_pair(text: str, name: str) -> tuple[float, float]:
         raise PreconditionError("domain", f"--{name} expects numbers, got {text!r}")
 
 
-def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
-    a, b = _parse_float_pair(text, name)
-    return int(a), int(b)
-
-
 def _add_common(p: argparse.ArgumentParser, default_format: str = "json") -> None:
     p.add_argument("--format", choices=("json", "csv", "human"), default=default_format,
                    help="report format (default: %(default)s)")
@@ -324,9 +312,9 @@ def _command_parsers() -> dict[str, argparse.ArgumentParser]:
     p.add_argument("--csv", required=True, metavar="PATH")
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--N", type=float, required=True)
-    p.add_argument("--lattice", default="64,17", help="scan resolution n_theta,n_t")
-    p.add_argument("--tol", type=float, default=1e-9, help="violation tolerance")
-    p.add_argument("--interval", default=None, help="scan subinterval a,b")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="relative violation tolerance per node")
+    p.add_argument("--interval", default=None, help="test subinterval a,b")
     p.add_argument("--interp-dim", dest="interp_dim", type=float, default=2.0)
     table["check-density"] = p
 
@@ -339,7 +327,7 @@ def _command_parsers() -> dict[str, argparse.ArgumentParser]:
     p.add_argument("--solver-tol", dest="solver_tol", type=float, default=1e-8)
     p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10)
     p.add_argument("--no-density-check", dest="no_density_check", action="store_true",
-                   help="skip the CD lattice scan of the input density")
+                   help="skip the nodal CD test of the input density")
     table["compare"] = p
 
     p = argparse.ArgumentParser(prog="cdeigen rigidity", add_help=False)

@@ -24,8 +24,6 @@ from .modelspace import Density, check_cd_density, max_diameter
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_LATTICE = (64, 17)
-DEFAULT_LATTICE_TOL = 1e-9
 
 
 def composed_tolerance(solver_tol: float = DEFAULT_SOLVER_TOL,
@@ -86,25 +84,24 @@ def _validate_inputs(h: Density, K: float, N: float, r0: float, theta: float) ->
 def comparison_residual(h: Density, K: float, N: float, r0: float, theta: float,
                         solver_tol: float = DEFAULT_SOLVER_TOL,
                         quad_tol: float = DEFAULT_QUAD_TOL,
-                        check_density: bool = True,
-                        lattice: tuple[int, int] = DEFAULT_LATTICE,
-                        lattice_tol: float = DEFAULT_LATTICE_TOL) -> ComparisonReport:
+                        check_density: bool = True) -> ComparisonReport:
     """Evaluate both sides of the comparison inequality at theta.
 
     The eigenpair always comes from the model density h_{K,N}; only the
-    measure in the two integrals is the general density h.  Set
-    ``check_density=False`` to skip the CD lattice scan (negative testing).
+    measure in the two integrals is the general density h.  First h must
+    pass ``check_cd_density`` on (0, r0) at its default per-node relative
+    tolerance (only the nodes are tested when h interpolates in a dimension
+    other than N), or ``PreconditionError("cd-violation")`` names the failing
+    node.  Set ``check_density=False`` to skip that test (negative testing).
     """
     _validate_inputs(h, K, N, r0, theta)
     if check_density:
-        report = check_cd_density(h, K, N, resolution=lattice,
-                                  tolerance=lattice_tol,
-                                  interval=(0.0, max(theta, r0)))
+        report = check_cd_density(h, K, N, interval=(0.0, r0))
         if not report.satisfied:
             raise PreconditionError(
                 "cd-violation",
-                f"density fails CD({K},{N}): worst slack {report.worst_violation:.3e} "
-                f"at (theta0, theta1, t) = {report.witness}",
+                f"density fails CD({K},{N}): relative slack {report.worst_violation:.3e} "
+                f"at node theta = {report.witness}",
             )
     lam, phi, dphi = _model_eigen_interpolants(float(K), float(N), float(r0),
                                                float(solver_tol))
@@ -131,9 +128,7 @@ def _deviation_grid(h: Density, r0: float) -> np.ndarray:
 def rigidity_check(h: Density, K: float, N: float, r0: float, tol: float,
                    solver_tol: float = DEFAULT_SOLVER_TOL,
                    quad_tol: float = DEFAULT_QUAD_TOL,
-                   check_density: bool = True,
-                   lattice: tuple[int, int] = DEFAULT_LATTICE,
-                   lattice_tol: float = DEFAULT_LATTICE_TOL) -> RigidityVerdict:
+                   check_density: bool = True) -> RigidityVerdict:
     """Decide whether h is (numerically) a positive multiple of h_{K,N}.
 
     A least-squares scale c is fitted on a grid of (0, r0); the verdict is
@@ -144,8 +139,7 @@ def rigidity_check(h: Density, K: float, N: float, r0: float, tol: float,
     if not tol > 0:
         raise PreconditionError("domain", f"tol must be positive, got {tol}")
     report = comparison_residual(h, K, N, r0, r0, solver_tol=solver_tol,
-                                 quad_tol=quad_tol, check_density=check_density,
-                                 lattice=lattice, lattice_tol=lattice_tol)
+                                 quad_tol=quad_tol, check_density=check_density)
     grid = _deviation_grid(h, r0)
     hv = np.asarray(h(grid), dtype=float)
     mv = np.asarray(Density.model(K, N)(grid), dtype=float)

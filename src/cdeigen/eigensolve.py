@@ -358,7 +358,9 @@ def _smallest_eigenpair(prob: WeightedEigenProblem, shift: float, start):
             raise NonconvergenceError("eigen-iteration", "inverse iteration produced a degenerate iterate")
         y /= bnorm
         mu = float(y @ _tri_mv(ad, ao, y))
-        if mu_prev is not None and abs(mu - mu_prev) <= 1e-14 * abs(mu):
+        # In exact arithmetic the quotient decreases monotonically, so a
+        # step that fails to decrease it beyond roundoff is stagnation.
+        if mu_prev is not None and mu_prev - mu <= 1e-14 * abs(mu):
             stag += 1
             if stag >= 2 and it >= 4:
                 x = y

@@ -1,15 +1,15 @@
 """Model geometry for one-dimensional curvature-dimension spaces.
 
-The central objects are the curvature-scaled sine ``s_kappa``, the distortion
-coefficients ``sigma_coeff`` and ``tau_coeff`` built from it, the model weight
-h_{K,N}(theta) = s_{K/(N-1)}(theta)^(N-1) on an interval [0, r0], and a
-brute-force lattice validator for the CD(K,N) density inequality
+The central objects are the curvature-scaled sine ``s_kappa``, the model
+weight h_{K,N}(theta) = s_{K/(N-1)}(theta)^(N-1) on an interval [0, r0], and
+a nodal test of the CD(K,N) density condition.  On an interval, CD(K,N) is
+the distributional inequality
 
-    h(m)^(1/(N-1)) >= sigma^(1-t)(|t1-t0|) h(t0)^(1/(N-1))
-                    + sigma^(t)(|t1-t0|) h(t1)^(1/(N-1)),
+    g'' + kappa g <= 0,    g = h^(1/(N-1)),  kappa = K/(N-1),
 
-where m = (1-t) t0 + t t1 and sigma is taken at curvature K/(N-1).  The model
-weight attains equality for every admissible triple.
+which ``check_cd_density`` tests against the hat function of every sample
+node, each node with its own tolerance scale.  The model weight attains
+equality.
 """
 
 from __future__ import annotations
@@ -59,50 +59,6 @@ def s_kappa(kappa: float, theta):
     return float(out[0]) if scalar else out
 
 
-def s_kappa_prime(kappa: float, theta):
-    """Derivative of ``s_kappa`` in theta (cos / 1 / cosh branches)."""
-    th = _as_theta_array(theta)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    x2 = kappa * th * th
-    out = np.empty_like(th)
-    small = np.abs(x2) < _SERIES_CUTOFF
-    xs = x2[small]
-    out[small] = 1.0 - xs / 2.0 * (1.0 - xs / 12.0 * (1.0 - xs / 30.0))
-    big = ~small
-    if np.any(big):
-        if kappa > 0:
-            out[big] = np.cos(math.sqrt(kappa) * th[big])
-        else:
-            out[big] = np.cosh(math.sqrt(-kappa) * th[big])
-    return float(out[0]) if scalar else out
-
-
-def _check_sigma_domain(kappa: float, theta: float) -> None:
-    if kappa > 0 and theta >= math.pi / math.sqrt(kappa):
-        raise PreconditionError(
-            "domain",
-            f"theta = {theta} is outside [0, pi/sqrt(kappa)) for kappa = {kappa}",
-        )
-
-
-def sigma_coeff(kappa: float, t: float, theta: float) -> float:
-    """Distortion coefficient sigma^(t)_kappa(theta) = s_kappa(t theta)/s_kappa(theta).
-
-    Defined for t in [0,1] and theta in [0, pi/sqrt(kappa)) when kappa > 0,
-    any theta >= 0 otherwise.  At theta = 0 the limiting value t is returned.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise PreconditionError("domain", f"t must lie in [0, 1], got {t}")
-    theta = float(theta)
-    if theta < 0:
-        raise PreconditionError("domain", "theta must be nonnegative")
-    _check_sigma_domain(kappa, theta)
-    if theta == 0.0:
-        return float(t)
-    return s_kappa(kappa, t * theta) / s_kappa(kappa, theta)
-
-
 def max_diameter(K: float, N: float) -> float:
     """Diameter bound pi * sqrt((N-1)/K) for K > 0; +inf for K <= 0."""
     if N <= 1:
@@ -110,26 +66,6 @@ def max_diameter(K: float, N: float) -> float:
     if K > 0:
         return math.pi * math.sqrt((N - 1) / K)
     return math.inf
-
-
-def tau_coeff(K: float, N: float, t: float, theta: float) -> float:
-    """Weighted distortion coefficient tau^(t)_{K,N}(theta).
-
-    Equals t^(1/N) * sigma^(t)_{K/(N-1)}(theta)^((N-1)/N) for theta below the
-    diameter bound, +inf past it when K > 0, and 0 when t = 0.
-    """
-    if N <= 1:
-        raise PreconditionError("domain", f"dimension parameter N must exceed 1, got {N}")
-    if not 0.0 <= t <= 1.0:
-        raise PreconditionError("domain", f"t must lie in [0, 1], got {t}")
-    if theta < 0:
-        raise PreconditionError("domain", "theta must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    if K > 0 and theta >= max_diameter(K, N):
-        return math.inf
-    sig = t if theta == 0.0 else sigma_coeff(K / (N - 1), t, theta)
-    return t ** (1.0 / N) * sig ** ((N - 1.0) / N)
 
 
 def model_density(K: float, N: float, theta):
@@ -235,13 +171,28 @@ class Density:
         return bool(np.all(self.values[inside] > 0))
 
 
+
+
+# Nodes of the uniform grid on which a model density that the closed-form
+# criterion cannot settle is sampled for the nodal CD test.
+_MODEL_NODES = 1025
+
+
 @dataclass(frozen=True)
 class CdCheckReport:
-    """Outcome of a lattice scan of the CD(K,N) density inequality."""
+    """Outcome of the nodal test of the CD(K,N) density inequality.
+
+    ``worst_violation`` is the smallest relative slack
+    (rounding_i - r_i)/scale_i (see ``check_cd_density``) over the
+    tested nodes, ``witness`` the node theta_i where it occurs, and
+    ``triples_checked`` the number of nodes tested.  When no node is tested
+    (closed-form acceptance, or no node inside the interval) the slack is 0
+    and the witness None.
+    """
 
     satisfied: bool
     worst_violation: float
-    witness: tuple[float, float, float]
+    witness: float | None
     triples_checked: int
     tolerance: float
 
@@ -250,75 +201,79 @@ def check_cd_density(
     h: Density,
     K: float,
     N: float,
-    resolution: tuple[int, int] = (64, 17),
     tolerance: float = 1e-9,
     interval: tuple[float, float] | None = None,
 ) -> CdCheckReport:
-    """Scan the CD(K,N) inequality for ``h`` on a (theta0, theta1, t) lattice.
+    """Test the CD(K,N) inequality g'' + kappa g <= 0 for ``h`` on ``interval``.
 
-    ``resolution = (n_theta, n_t)`` sets the lattice: n_theta interior points
-    per endpoint axis and n_t convex weights (odd n_t includes 0, 1/2, 1).
-    The report carries the most negative slack found and its witness triple;
-    the density passes when that slack is >= -tolerance.
+    Here g = h^(1/(N-1)) and kappa = K/(N-1); on an interval, CD(K,N) is this
+    inequality in the sense of distributions.  It is tested against the hat
+    function phi_i of every node theta_i inside the open interval.  With s_i
+    the slope of g on segment i and w_i its width,
 
-    For sampled densities the effective tolerance is floored at the
-    piecewise-linear interpolation defect (largest second difference of the
-    node values in g-space): a finite sample cannot certify the inequality
-    below its own resolution.  The report's ``tolerance`` field records the
-    value actually used.
+        r_i = (s_i - s_{i-1}) + kappa * int g phi_i,
+        int g phi_i = (w_{i-1} (g_{i-1} + 2 g_i) + w_i (2 g_i + g_{i+1})) / 6,
+
+    and the node passes when r_i <= tolerance * scale_i + rounding_i.  Each
+    node has its own scale_i = |s_{i-1}| + |s_i| + |kappa| int g phi_i, and
+    rounding_i bounds the rounding error of the computed slope jump by 16
+    ulps of each of g_{i-1}, g_i, g_{i+1}.  The slope jump is the exact weak
+    second derivative of the piecewise-linear g, so a dent of any size fails
+    with relative slack near -1.  Only the kappa term carries an
+    interpolation error, of order kappa w^3 |g''| per node, and for the
+    model weight itself that error has the safe sign.
+
+    A sampled density with interp_dim = N is tested as interpolated, from its
+    ``g_values``.  With interp_dim != N, g is not piecewise linear between
+    the nodes: then g = values^(1/(N-1)) is tested at the nodes only, and
+    nothing between them.  A model density h_{K',N} with K' >= K is accepted
+    without a test, since its g'' = -K'/(N-1) g makes g'' + kappa g <= 0 in
+    closed form; any other model density is sampled on a uniform grid of the
+    interval and tested like a sampled one.
     """
     if N <= 1:
         raise PreconditionError("domain", f"N must exceed 1, got {N}")
-    n_theta, n_t = int(resolution[0]), int(resolution[1])
-    if n_theta < 2 or n_t < 3:
-        raise PreconditionError("domain", "resolution must be at least (2, 3)")
     if interval is None:
         interval = (0.0, h.right)
     lo, hi = float(interval[0]), float(interval[1])
     if not (0 <= lo < hi) or not math.isfinite(hi) or hi > h.right * (1 + 1e-12):
         raise PreconditionError(
-            "domain", f"scan interval {interval} must be finite and inside [0, {h.right}]"
+            "domain", f"test interval {interval} must be finite and inside [0, {h.right}]"
         )
-    kap = K / (N - 1)
     if K > 0 and (hi - lo) >= max_diameter(K, N):
         raise PreconditionError(
             "domain",
             f"interval length {hi - lo} reaches the diameter bound {max_diameter(K, N)}",
         )
-    if h.kind == "sampled" and h.grid.size >= 3:
-        gnode = h.values ** (1.0 / (N - 1.0))
-        defect = float(np.max(np.abs(np.diff(gnode, n=2))))
-        tolerance = max(tolerance, defect)
+    untested = CdCheckReport(satisfied=True, worst_violation=0.0, witness=None,
+                             triples_checked=0, tolerance=float(tolerance))
+    if h.kind == "model":
+        if h.N == N and h.K >= K:
+            return untested
+        x = np.linspace(lo, hi, _MODEL_NODES)
+        g = h(x) ** (1.0 / (N - 1.0))
+    else:
+        x = h.grid
+        g = h.g_values if h.interp_dim == N else h.values ** (1.0 / (N - 1.0))
 
-    # Interior lattice points only; endpoint behavior (vanishing weights)
-    # is deliberately left out of the scan.
-    theta = np.linspace(lo, hi, n_theta + 2)[1:-1]
-    t = np.linspace(0.0, 1.0, n_t)
-    p = 1.0 / (N - 1.0)
-
-    g = np.asarray(h(theta)) ** p
-    t0 = theta[:, None, None]
-    t1 = theta[None, :, None]
-    tw = t[None, None, :]
-    mid = (1.0 - tw) * t0 + tw * t1
-    g_mid = np.asarray(h(mid.ravel())).reshape(mid.shape) ** p
-
-    dist = np.abs(t1 - t0)
-    s_full = s_kappa(kap, dist.ravel()).reshape(dist.shape)
-    s_t = s_kappa(kap, (tw * dist).ravel()).reshape(mid.shape)
-    s_ct = s_kappa(kap, ((1.0 - tw) * dist).ravel()).reshape(mid.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sig_t = np.where(dist > 0, s_t / s_full, tw)
-        sig_ct = np.where(dist > 0, s_ct / s_full, 1.0 - tw)
-
-    slack = g_mid - sig_ct * g[:, None, None] - sig_t * g[None, :, None]
-    flat = int(np.argmin(slack))
-    i, j, k = np.unravel_index(flat, slack.shape)
-    worst = float(slack[i, j, k])
+    kap = K / (N - 1.0)
+    w = np.diff(x)
+    s = np.diff(g) / w
+    gphi = (w[:-1] * (g[:-2] + 2.0 * g[1:-1]) + w[1:] * (2.0 * g[1:-1] + g[2:])) / 6.0
+    r = s[1:] - s[:-1] + kap * gphi
+    scale = np.abs(s[:-1]) + np.abs(s[1:]) + abs(kap) * gphi
+    ulps = 16.0 * np.finfo(float).eps * g
+    rounding = (ulps[:-2] + ulps[1:-1]) / w[:-1] + (ulps[1:-1] + ulps[2:]) / w[1:]
+    inside = (x[1:-1] > lo) & (x[1:-1] < hi)
+    slack = np.divide(rounding - r, scale, out=np.zeros_like(r), where=scale > 0)[inside]
+    if slack.size == 0:
+        return untested
+    i = int(np.argmin(slack))
+    worst = float(slack[i])
     return CdCheckReport(
-        satisfied=bool(worst >= -tolerance),
+        satisfied=worst >= -tolerance,
         worst_violation=worst,
-        witness=(float(theta[i]), float(theta[j]), float(t[k])),
-        triples_checked=slack.size,
+        witness=float(x[1:-1][inside][i]),
+        triples_checked=int(slack.size),
         tolerance=float(tolerance),
     )

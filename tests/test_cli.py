@@ -107,7 +107,7 @@ def test_every_command_is_deterministic(capsys, tmp_path):
         ["model-eigen", "--K", "0.5", "--N", "2.5", "--r0", "1.2",
          "--method", "shooting", "--format", "human"],
         ["check-density", "--csv", str(dens), "--K", "-1", "--N", "3",
-         "--interp-dim", "3", "--lattice", "24,9"],
+         "--interp-dim", "3"],
         ["compare", "--K", "-1", "--N", "3", "--r0", "1", "--theta", "0.7",
          "--model-K", "0", "--format", "csv"],
         ["rigidity", "--csv", str(dens7), "--K", "-1", "--N", "3", "--r0", "1",
@@ -165,7 +165,7 @@ def test_check_density_flags_violation(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["result"]["satisfied"] is False
     assert doc["result"]["worst_violation"] < -1e-4
-    assert 0 <= doc["result"]["witness_t"] <= 1
+    assert 0 < doc["result"]["witness_theta"] < 1.5
 
 
 def test_kk_bound_profile_rows(capsys):

@@ -67,7 +67,7 @@ def test_gap_scale_invariance():
 
 
 def test_cd_violation_is_rejected_then_waived():
-    # a density of strictly lower curvature fails the CD scan
+    # a density of strictly lower curvature fails the CD test
     h = Density.model(-3.0, 3.0, right=1.5)
     with pytest.raises(PreconditionError) as exc:
         comparison_residual(h, -1.0, 3.0, 1.0, 1.0)
@@ -95,11 +95,9 @@ def test_family_members_satisfy_cd_and_inequality():
     assert len(fam) >= 4  # count model members plus flat extras for K <= 0
     tol = composed_tolerance()
     for h in fam:
-        assert check_cd_density(h, -1.0, 3.0, resolution=(32, 9),
-                                interval=(0.0, 1.0)).satisfied
+        assert check_cd_density(h, -1.0, 3.0, interval=(0.0, 1.0)).satisfied
         for theta in (0.4, 1.0):
-            rep = comparison_residual(h, -1.0, 3.0, 1.0, theta,
-                                      lattice=(16, 5))
+            rep = comparison_residual(h, -1.0, 3.0, 1.0, theta)
             assert rep.gap >= -tol * max(rep.rhs, 1.0)
 
 
@@ -182,8 +180,8 @@ def test_property_random_family_gaps_nonnegative():
 @given(K=st.floats(-3.0, 1.0), N=st.floats(2.0, 6.0), r0=st.floats(0.4, 1.5),
        frac=st.floats(0.2, 1.0))
 def test_family_gap_nonnegative_property(K, N, r0, frac):
-    # every CD(K,N) family member passes the scan and keeps the inequality
+    # every CD(K,N) family member passes the CD test and keeps the inequality
     tol = composed_tolerance()
     for h in cd_density_family(K, N, r0, count=3):
-        rep = comparison_residual(h, K, N, r0, frac * r0, lattice=(16, 5))
+        rep = comparison_residual(h, K, N, r0, frac * r0)
         assert rep.gap >= -tol * rep.rhs, (K, N, r0, frac, h.kind, h.K)

@@ -262,6 +262,25 @@ def test_inverse_iteration_matches_dense_eigh():
     assert sol.refinement_history[0] == pytest.approx(lam_dense, rel=1e-10)
 
 
+def test_inverse_iteration_stops_at_roundoff_on_kk_scan_end(monkeypatch):
+    # The default kk-bound curve K(N) = 1 - (N+2)/(N-2) at N = 2.001, r0 = 1.
+    # The unshifted first level runs to its 200-iteration cap (lambda_1/lambda_2
+    # is 0.973 there); the shifted levels must stop once the Rayleigh quotient
+    # no longer decreases, not jitter at roundoff (9, 5 and 5 solves).
+    calls = []
+    dpttrs = eigensolve.lapack.dpttrs
+
+    def counted(*args):
+        calls.append(1)
+        return dpttrs(*args)
+
+    monkeypatch.setattr(eigensolve.lapack, "dpttrs", counted)
+    N = 2.001
+    sol = first_dirichlet_eigen(Density.model(1.0 - (N + 2.0) / (N - 2.0), N), 1.0)
+    assert len(calls) <= 225
+    assert sol.eigenvalue == pytest.approx(1010.4529244159801, rel=1e-10)
+
+
 def test_flat_weight_quarter_wave():
     # constant weight: natural condition at 0, Dirichlet at r0, so the
     # fundamental mode is cos(pi theta / (2 r0)) with eigenvalue (pi/2r0)^2
