@@ -1,10 +1,11 @@
 """Closed-form eigenvalue bounds and first Bessel zeros.
 
-J_nu and its derivative come from ``scipy.special``.  The first zero j_{nu,1}
-lies in (max(nu, 0), sqrt(2(nu+1)(nu+3))).  For nu <= 10 it is located by
-Brent root finding on that bracket; for larger orders by Newton iteration
-from an Airy-type starting guess, with capped steps and a final bracket
-check.  Both meet the 1e-12 relative-accuracy contract of
+J_nu and its derivative come from ``scipy.special``, imported on the first
+cache miss, so a bound that needs no Bessel zero loads no scipy.  The first
+zero j_{nu,1} lies in (max(nu, 0), sqrt(2(nu+1)(nu+3))).  For nu <= 10 it is
+located by Brent root finding on that bracket; for larger orders by Newton
+iteration from an Airy-type starting guess, with capped steps and a final
+bracket check.  Both meet the 1e-12 relative-accuracy contract of
 ``bessel_first_zero``.
 """
 
@@ -15,11 +16,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import jv, jvp
 
 from .errors import NonconvergenceError, PreconditionError
-from .modelspace import max_diameter, s_kappa
+from .modelspace import max_diameter, require_finite, s_kappa
 
 # First-zero expansion in powers of nu^(-1/3); classical large-order result,
 # already accurate to ~1e-4 relative at nu = 10.
@@ -27,6 +26,8 @@ _AIRY_COEFFS = (1.8557571, 1.033150, -0.00397, -0.0908, 0.043)
 
 
 def _zero_large_order(nu: float) -> float:
+    from scipy.special import jv, jvp
+
     c = nu ** (1.0 / 3.0)
     t = _AIRY_COEFFS
     x = nu + t[0] * c + t[1] / c + t[2] / nu + t[3] / (nu * c) + t[4] / (nu * nu / c)
@@ -53,6 +54,9 @@ def bessel_first_zero(nu: float) -> float:
         raise PreconditionError("domain", f"order must exceed -1, got {nu}")
     if nu > 10.0:
         return _zero_large_order(nu)
+    from scipy.optimize import brentq
+    from scipy.special import jv
+
     hi = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
     lo = nu if nu >= 0.5 else 1e-3 * hi
     f = lambda x: jv(nu, x)
@@ -83,14 +87,11 @@ def closed_form_bound(K: float, N: float, r0: float) -> BoundValue:
     Dispatch: K=0 gives the exact Bessel identity j_{N/2-1,1}^2 / r0^2; N=3
     gives the exact -K/2 + pi^2/r0^2; otherwise the N<3 or N>3 upper bound.
     """
-    if N <= 1:
-        raise PreconditionError("domain", f"N must exceed 1, got {N}")
+    d = max_diameter(K, N)
     if not (r0 > 0 and math.isfinite(r0)):
         raise PreconditionError("domain", f"r0 must be positive and finite, got {r0}")
-    if K > 0 and r0 >= max_diameter(K, N):
-        raise PreconditionError(
-            "domain", f"r0 = {r0} reaches the diameter bound {max_diameter(K, N)}"
-        )
+    if r0 >= d:
+        raise PreconditionError("domain", f"r0 = {r0} reaches the diameter bound {d}")
     if K == 0.0:
         j = bessel_first_zero(N / 2.0 - 1.0)
         return BoundValue(j * j / r0**2, True, "bessel_k0")
@@ -115,13 +116,10 @@ def neumann_upper_bound(K: float, N: float, diam: float, j: int,
         raise PreconditionError("hypothesis", f"diameter must be positive and finite, got {diam}")
     if j != int(j) or int(j) < 1:
         raise PreconditionError("domain", f"mode index j must be a positive integer, got {j}")
-    if N <= 1:
-        raise PreconditionError("domain", f"N must exceed 1, got {N}")
-    if K > 0 and diam > max_diameter(K, N) * (1.0 + 1e-12):
+    d = max_diameter(K, N)
+    if diam > d * (1.0 + 1e-12):
         raise PreconditionError(
-            "hypothesis",
-            f"diameter {diam} exceeds the bound {max_diameter(K, N)} forced by K = {K} > 0",
-        )
+            "hypothesis", f"diameter {diam} exceeds the bound {d} forced by K = {K} > 0")
     r0 = diam / (2.0 * int(j))
     if method == "closed_form":
         return closed_form_bound(K, N, r0).value
@@ -137,6 +135,7 @@ def essential_spectrum_threshold(K: float, N: float) -> float:
 
     Only valid under the hypotheses K <= 0 and N >= 3; anything else raises.
     """
+    require_finite(K=K, N=N)
     if K > 0:
         raise PreconditionError(
             "hypothesis", f"hypothesis K <= 0 violated: got K = {K}"

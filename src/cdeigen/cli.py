@@ -19,18 +19,17 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .bounds import closed_form_bound, essential_spectrum_threshold, neumann_upper_bound
-from .comparison import comparison_residual, composed_tolerance, rigidity_check
-from .eigensolve import first_dirichlet_eigen
 from .errors import CdeigenError, NonconvergenceError, PreconditionError
-from .modelspace import Density, check_cd_density
-from .physics import CompactificationSpec, kk_mass_bound_optimal
+
+if TYPE_CHECKING:
+    from .modelspace import Density
 
 _META_KEYS = ("command", "format", "out", "config")
 
@@ -43,6 +42,8 @@ def load_density_csv(path: str, interp_dim: float = 2.0) -> Density:
     Malformed content is reported with the offending line number; theta must
     start at 0 and increase strictly, h must be nonnegative.
     """
+    from .modelspace import Density
+
     try:
         handle = open(path, "r", newline="")
     except OSError as exc:
@@ -118,9 +119,13 @@ class RunConfig:
 
 # ------------------------------------------------------------- computations
 # Each compute function takes the parameter namespace and returns
-# (result, diagnostics) as plain dicts with deterministic key order.
+# (result, diagnostics) as plain dicts with deterministic key order.  It
+# imports the library functions it calls when it runs, so a command loads
+# only the modules (and scipy subpackages) it needs.
 
 def _density_from_params(p, fallback_N: float) -> Density:
+    from .modelspace import Density
+
     has_csv = getattr(p, "csv", None) is not None
     has_model = getattr(p, "model_K", None) is not None
     if has_csv == has_model:
@@ -134,6 +139,10 @@ def _density_from_params(p, fallback_N: float) -> Density:
 
 
 def _compute_model_eigen(p):
+    from .bounds import closed_form_bound
+    from .eigensolve import first_dirichlet_eigen
+    from .modelspace import Density
+
     sol = first_dirichlet_eigen(Density.model(p.K, p.N), p.r0, tol=p.tol, method=p.method)
     bound = closed_form_bound(p.K, p.N, p.r0)
     exact = bound.value if bound.exact else None
@@ -153,6 +162,8 @@ def _compute_model_eigen(p):
 
 
 def _compute_check_density(p):
+    from .modelspace import check_cd_density
+
     h = load_density_csv(p.csv, interp_dim=p.interp_dim)
     interval = _parse_float_pair(p.interval, "interval") if p.interval else None
     rep = check_cd_density(h, p.K, p.N, tolerance=p.tol, interval=interval)
@@ -170,6 +181,8 @@ def _compute_check_density(p):
 
 
 def _compute_compare(p):
+    from .comparison import comparison_residual, composed_tolerance
+
     h = _density_from_params(p, p.N)
     rep = comparison_residual(
         h, p.K, p.N, p.r0, p.theta,
@@ -193,6 +206,8 @@ def _compute_compare(p):
 
 
 def _compute_rigidity(p):
+    from .comparison import rigidity_check
+
     h = _density_from_params(p, p.N)
     verdict = rigidity_check(
         h, p.K, p.N, p.r0, p.tol,
@@ -214,6 +229,8 @@ def _compute_rigidity(p):
 
 
 def _compute_neumann_bound(p):
+    from .bounds import neumann_upper_bound
+
     value = neumann_upper_bound(p.K, p.N, p.diam, p.j, method=p.method, solver_tol=p.tol)
     result = {
         "bound": value,
@@ -225,10 +242,14 @@ def _compute_neumann_bound(p):
 
 
 def _compute_ess_spectrum(p):
+    from .bounds import essential_spectrum_threshold
+
     return {"threshold": essential_spectrum_threshold(p.K, p.N)}, {}
 
 
 def _compute_kk_bound(p):
+    from .physics import CompactificationSpec, kk_mass_bound_optimal
+
     spec = CompactificationSpec(D=p.D, d=p.d, Lambda=p.Lambda, sigma_w=p.sigma, diam=p.diam)
     res = kk_mass_bound_optimal(
         spec, p.j, method=p.method, grid_points=p.grid_points,

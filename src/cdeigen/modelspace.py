@@ -59,8 +59,16 @@ def s_kappa(kappa: float, theta):
     return float(out[0]) if scalar else out
 
 
+def require_finite(**params: float) -> None:
+    """Raise a ``domain`` error naming the first parameter that is NaN or infinite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise PreconditionError("domain", f"{name} must be finite, got {value}")
+
+
 def max_diameter(K: float, N: float) -> float:
     """Diameter bound pi * sqrt((N-1)/K) for K > 0; +inf for K <= 0."""
+    require_finite(K=K, N=N)
     if N <= 1:
         raise PreconditionError("domain", f"dimension parameter N must exceed 1, got {N}")
     if K > 0:
@@ -231,8 +239,7 @@ def check_cd_density(
     closed form; any other model density is sampled on a uniform grid of the
     interval and tested like a sampled one.
     """
-    if N <= 1:
-        raise PreconditionError("domain", f"N must exceed 1, got {N}")
+    d = max_diameter(K, N)
     if interval is None:
         interval = (0.0, h.right)
     lo, hi = float(interval[0]), float(interval[1])
@@ -240,11 +247,9 @@ def check_cd_density(
         raise PreconditionError(
             "domain", f"test interval {interval} must be finite and inside [0, {h.right}]"
         )
-    if K > 0 and (hi - lo) >= max_diameter(K, N):
+    if hi - lo >= d:
         raise PreconditionError(
-            "domain",
-            f"interval length {hi - lo} reaches the diameter bound {max_diameter(K, N)}",
-        )
+            "domain", f"interval length {hi - lo} reaches the diameter bound {d}")
     untested = CdCheckReport(satisfied=True, worst_violation=0.0, witness=None,
                              triples_checked=0, tolerance=float(tolerance))
     if h.kind == "model":

@@ -16,7 +16,7 @@ from cdeigen.bounds import (
 )
 from cdeigen.eigensolve import first_dirichlet_eigen
 from cdeigen.errors import PreconditionError
-from cdeigen.modelspace import Density, max_diameter, s_kappa
+from cdeigen.modelspace import Density, check_cd_density, max_diameter, s_kappa
 
 
 def reference_first_zero(nu):
@@ -153,6 +153,23 @@ def test_closed_form_bound_domain_errors():
         closed_form_bound(0.0, 1.0, 1.0)
     with pytest.raises(PreconditionError):
         closed_form_bound(0.0, 3.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda K, N: max_diameter(K, N),
+    lambda K, N: Density.model(K, N, right=1.0),
+    lambda K, N: closed_form_bound(K, N, 1.0),
+    lambda K, N: neumann_upper_bound(K, N, 1.0, 1),
+    lambda K, N: essential_spectrum_threshold(K, N),
+    lambda K, N: check_cd_density(Density.model(-1.0, 3.0, right=1.0), K, N),
+], ids=["max_diameter", "Density.model", "closed_form_bound", "neumann_upper_bound",
+        "essential_spectrum_threshold", "check_cd_density"])
+def test_non_finite_K_or_N_is_a_domain_error(call, bad):
+    for K, N, name in ((bad, 4.0, "K"), (-1.0, bad, "N")):
+        with pytest.raises(PreconditionError, match=f"^{name} must be finite") as exc:
+            call(K, N)
+        assert exc.value.code == "domain"
 
 
 def test_closed_form_dominates_solver():

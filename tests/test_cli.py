@@ -209,6 +209,29 @@ def test_exit_codes(capsys, argv, code):
         assert set(doc["error"]) == {"code", "message"}
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["ess-spectrum", "--K", "nan", "--N", "3"], "K"),
+    (["ess-spectrum", "--K", "-1", "--N", "inf"], "N"),
+    (["neumann-bound", "--K", "nan", "--N", "3", "--diam", "1"], "K"),
+    (["neumann-bound", "--K", "-1", "--N=-inf", "--diam", "1"], "N"),
+    (["model-eigen", "--K", "nan", "--N", "3", "--r0", "1"], "K"),
+    (["model-eigen", "--K", "-1", "--N", "nan", "--r0", "1"], "N"),
+    (["compare", "--model-K", "nan", "--K", "-1", "--N", "3", "--r0", "1",
+      "--theta", "0.5"], "K"),
+    (["compare", "--model-K", "-1", "--K", "nan", "--N", "3", "--r0", "1",
+      "--theta", "0.5"], "K"),
+    (["check-density", "--csv", "{csv}", "--K", "nan", "--N", "3"], "K"),
+    (["check-density", "--csv", "{csv}", "--K", "-1", "--N", "inf"], "N"),
+])
+def test_non_finite_K_or_N_is_a_domain_error(capsys, tmp_path, argv, name):
+    csv_path = str(write_model_csv(tmp_path / "h.csv", -1.0, 3.0))
+    rc, out, err = run_cli(capsys, *(a.replace("{csv}", csv_path) for a in argv))
+    assert rc == 2 and out == "", (argv, out, err)
+    error = json.loads(err)["error"]
+    assert error["code"] == "domain"
+    assert error["message"].startswith(f"{name} must be finite")
+
+
 def test_argparse_failures_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
