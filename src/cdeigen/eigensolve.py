@@ -101,6 +101,15 @@ def _gk_panel(fh, a, b):
     return res_k, np.maximum(np.abs(res_k - res_g), _GK_ROUNDOFF * np.abs(res_k))
 
 
+def _vanishing_end_grading(h: Density, a: float, b: float) -> np.ndarray:
+    """Breakpoints 1e-6, 1e-4, 1e-2 and 1e-1 of the way from a to b when the
+    weight vanishes at a = 0, where it behaves like a power of theta; none
+    otherwise."""
+    if a == 0.0 and float(h(0.0)) == 0.0:
+        return b * np.array([1e-6, 1e-4, 1e-2, 1e-1])
+    return np.empty(0)
+
+
 def weighted_integral(f, h: Density, a: float, b: float,
                       rel_tol: float = 1e-10, max_intervals: int = 4096) -> float:
     """Adaptive quadrature of int_a^b f(theta) h(theta) dtheta.
@@ -131,11 +140,9 @@ def weighted_integral(f, h: Density, a: float, b: float,
     hv = _vectorized(h)
     fh = lambda x: fv(x) * hv(x)
 
-    breaks = [np.array([a, b])]
+    breaks = [np.array([a, b]), _vanishing_end_grading(h, a, b)]
     if h.kind == "sampled":
         breaks.append(h.grid[(h.grid > a) & (h.grid < b)])
-    if a == 0.0 and float(h(0.0)) == 0.0:
-        breaks.append(a + (b - a) * np.array([1e-6, 1e-4, 1e-2, 1e-1]))
     pts = np.unique(np.concatenate(breaks))
     lo, hi = pts[:-1], pts[1:]
     res, err = _gk_panel(fh, lo, hi)
@@ -515,8 +522,14 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     can lag the eigenvalue on rough weights).  Each level after the first
     runs inverse iteration shifted to 0.99 times the previous level's
     eigenvalue, started from the previous eigenvector.
-    The shooting route brackets around a coarse matrix estimate and
-    delegates to ``shoot_eigen``.
+    The shooting route runs the matrix route at tol 1e-6, hands the bracket
+    (0.9, 1.1) times that estimate to ``shoot_eigen``, samples the
+    integrated eigenfunction on the grid (graded toward a vanishing weight
+    at 0) and applies the same 100*tol flux gate.  On model densities it
+    agrees with the matrix route for K in [-5, 2], N in [1.05, 30] and r0 up
+    to min(2.5, 0.9 * diameter).  It fails as N -> 2+ on the default
+    kk-bound curve (``flux`` or ``bracket``) and from N = 55 on
+    (``domain``: h(1e-6 r0) underflows to 0).
     """
     _validate_problem(h, r0)
     if not (1e-12 < tol < 1e-3):
@@ -615,12 +628,21 @@ def _shooting_machinery(h: Density, r0: float):
     dlog = _log_derivative(h)
 
     def integrate(lam, dense=False):
+        """Integrate (phi - 1, phi') from eps0 to r0, from phi(eps0) = 1.
+
+        Near the singular end phi differs from 1 by O(lam theta^2).  LSODA
+        weighs a switch from Adams to BDF only while its error estimate is
+        above roundoff relative to |y|; carried in phi itself that change is
+        not, and LSODA could keep the Adams step of its start-point
+        stability limit (2e-8 at N = 19.6, r0 = 0.262) for millions of
+        steps.  Carried as phi - 1, it switches to BDF within its first steps.
+        """
         def rhs(t, y):
-            return (y[1], -lam * y[0] - dlog(t) * y[1])
+            return (y[1], -lam * (1.0 + y[0]) - dlog(t) * y[1])
 
         # Initial slope from the flux identity: phi' (eps) = -lam m([0,eps]) / h(eps).
-        ivp = solve_ivp(rhs, (eps0, r0), [1.0, -lam * mass0 / heps],
-                        method="DOP853", rtol=1e-11, atol=1e-13, dense_output=dense)
+        ivp = solve_ivp(rhs, (eps0, r0), [0.0, -lam * mass0 / heps],
+                        method="LSODA", rtol=1e-11, atol=1e-13, dense_output=dense)
         if not ivp.success:
             raise NonconvergenceError("stiffness", f"ODE integration failed: {ivp.message}")
         return ivp
@@ -629,7 +651,15 @@ def _shooting_machinery(h: Density, r0: float):
 
 
 def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
-    """Shooting eigenvalue: root of lambda -> phi(r0) inside ``bracket``."""
+    """Shooting eigenvalue: root of lambda -> phi(r0) inside ``bracket``.
+
+    phi'' + (log h)' phi' + lambda phi = 0 is integrated from eps0 = 1e-6 r0
+    to r0 by LSODA (Adams/BDF, rtol 1e-11, atol 1e-13), starting from
+    phi(eps0) = 1 and the flux identity phi'(eps0) = -lambda m([0, eps0]) /
+    h(eps0).  Brent's method finds the root to xtol tol * bracket[0].
+    Raises ``bracket`` when phi(r0) has one sign at both ends, ``stiffness``
+    when LSODA fails, and ``shooting`` when |phi(r0)| stays above 100*tol.
+    """
     _validate_problem(h, r0)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi) or not math.isfinite(hi):
@@ -640,7 +670,7 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
     _, integrate = _shooting_machinery(h, r0)
 
     def miss(lam):
-        return float(integrate(lam).y[0, -1])
+        return 1.0 + float(integrate(lam).y[0, -1])
 
     f_lo, f_hi = miss(lo), miss(hi)
     if f_lo == 0.0:
@@ -665,12 +695,17 @@ def _shooting_solution(h: Density, r0: float, tol: float, grid: GridSpec) -> Eig
 
     eps0, integrate = _shooting_machinery(h, r0)
     ivp = integrate(lam, dense=True)
-    nodes = grid.nodes(r0, h.grid if h.kind == "sampled" else ())
+    # The grading keeps the flux check's cumulative integral of phi h
+    # accurate where h vanishes like a power of theta.
+    include = _vanishing_end_grading(h, 0.0, r0)
+    if h.kind == "sampled":
+        include = np.concatenate((include, h.grid))
+    nodes = grid.nodes(r0, include)
     phi = np.empty_like(nodes)
     dphi = np.empty_like(nodes)
     inside = nodes >= eps0
     vals = ivp.sol(nodes[inside])
-    phi[inside] = vals[0]
+    phi[inside] = 1.0 + vals[0]
     dphi[inside] = vals[1]
     # Below the start point phi is flat to O(eps^2); pin the natural boundary.
     phi[~inside] = 1.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cdeigen import eigensolve
+from cdeigen.bounds import closed_form_bound
 from cdeigen.eigensolve import (
     EigenSolution,
     GridSpec,
@@ -19,7 +20,7 @@ from cdeigen.eigensolve import (
     weighted_integral,
 )
 from cdeigen.errors import NonconvergenceError, PreconditionError
-from cdeigen.modelspace import Density
+from cdeigen.modelspace import Density, max_diameter
 
 # first positive zeros of the Bessel functions J_0, J_1 (classical values)
 J0_ZERO = 2.404825557695773
@@ -345,18 +346,54 @@ def test_eigenvalue_decreases_in_r0(K, N, frac, stretch):
     assert big < small * (1.0 + 1e-8), (K, N, r_small, r_big)
 
 
-def test_matrix_and_shooting_agree():
-    rng = np.random.default_rng(2024)
-    for _ in range(3):
-        K = rng.uniform(-3.0, 1.5)
-        N = rng.uniform(1.8, 6.0)
-        r0 = rng.uniform(0.5, 1.8)
-        h = Density.model(K, N)
-        if math.isfinite(h.right):
-            r0 = min(r0, 0.8 * h.right)
-        a = first_dirichlet_eigen(h, r0, method="matrix").eigenvalue
-        b = first_dirichlet_eigen(h, r0, method="shooting").eigenvalue
-        assert a == pytest.approx(b, rel=1e-6), (K, N, r0)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(K=st.floats(-5.0, 2.0), N=st.floats(1.05, 30.0), u=st.floats(0.05, 1.0))
+def test_matrix_and_shooting_agree(K, N, u):
+    # the shooting region the README documents
+    r0 = u * min(2.5, 0.9 * max_diameter(K, N))
+    h = Density.model(K, N)
+    a = first_dirichlet_eigen(h, r0, method="matrix").eigenvalue
+    b = first_dirichlet_eigen(h, r0, method="shooting").eigenvalue
+    assert a == pytest.approx(b, rel=1e-6), (K, N, r0)
+    assert a <= closed_form_bound(K, N, r0).value * (1.0 + 1e-8), (K, N, r0)
+
+
+@pytest.mark.parametrize("K, N, r0", [
+    (-0.0475, 1.0847, 1.32), (-2.185, 1.0766, 1.123), (0.0, 1.2, 1.0), (0.0, 1.3, 1.0),
+])
+def test_shooting_passes_its_flux_check_near_N_1(K, N, r0):
+    # h ~ theta^(N-1) is nearly singular in slope at 0; the cumulative
+    # integral in the flux check needs the graded nodes there
+    sol = first_dirichlet_eigen(Density.model(K, N), r0, method="shooting")
+    assert sol.flux_residual <= 1e-6
+    matrix = first_dirichlet_eigen(Density.model(K, N), r0).eigenvalue
+    assert sol.eigenvalue == pytest.approx(matrix, rel=1e-7)
+
+
+@pytest.mark.parametrize("K, N, r0, max_integrations, max_nfev", [
+    (-4.28841, 8.403, 1.56601, 12, 8000),
+    # integrated in phi rather than phi - 1, LSODA held a stale
+    # stability-limited step of 2e-8 here for millions of steps
+    (-4.3923, 19.592, 0.262, 14, 14000),
+])
+def test_shooting_ode_work(monkeypatch, K, N, r0, max_integrations, max_nfev):
+    # rhs evaluations are counted as they happen, so a stuck integrator
+    # fails the test at once instead of running on
+    count = {"integrations": 0, "nfev": 0}
+    solve_ivp = eigensolve.solve_ivp
+
+    def counted(fun, *args, **kwargs):
+        def rhs(t, y):
+            count["nfev"] += 1
+            assert count["nfev"] <= max_nfev, "ODE right-hand side evaluations over budget"
+            return fun(t, y)
+
+        count["integrations"] += 1
+        return solve_ivp(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "solve_ivp", counted)
+    first_dirichlet_eigen(Density.model(K, N), r0, method="shooting")
+    assert count["integrations"] <= max_integrations
 
 
 def test_shoot_eigen_bracket_behavior():
