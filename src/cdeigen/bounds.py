@@ -114,7 +114,7 @@ def neumann_upper_bound(K: float, N: float, diam: float, j: int,
     """
     if not (diam > 0 and math.isfinite(diam)):
         raise PreconditionError("hypothesis", f"diameter must be positive and finite, got {diam}")
-    if j != int(j) or int(j) < 1:
+    if not float(j).is_integer() or j < 1:
         raise PreconditionError("domain", f"mode index j must be a positive integer, got {j}")
     d = max_diameter(K, N)
     if diam > d * (1.0 + 1e-12):

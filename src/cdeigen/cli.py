@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -701,6 +700,8 @@ def _run_sweep(args: list[str]) -> int:
     rows: list[dict] = []
     columns: list[str] = []
     if param_sets:
+        from concurrent.futures import ThreadPoolExecutor
+
         workers = max(1, min(ns.workers, len(param_sets)))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_row, target, ps) for _, ps in param_sets]

@@ -8,6 +8,11 @@ h_{K,N} satisfies
 for every theta in (0, r0].  Equality at theta = r0 forces h to be a positive
 multiple of the model density; ``rigidity_check`` tests for that case by a
 least-squares scale fit.
+
+Between the nodes of the model solution, phi and phi' are the value and the
+derivative of one C^1 cubic Hermite interpolant of the solution's nodal
+(phi, phi'), the same one the flux-identity check integrates.  Only numpy
+and ``scipy.linalg`` (through the matrix eigensolver) are loaded.
 """
 
 from __future__ import annotations
@@ -16,9 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .eigensolve import first_dirichlet_eigen, weighted_integral
+from .eigensolve import _cubic_hermite, first_dirichlet_eigen, weighted_integral
 from .errors import PreconditionError
 from .modelspace import Density, check_cd_density, max_diameter
 
@@ -58,11 +62,9 @@ class RigidityVerdict:
 
 
 @lru_cache(maxsize=64)
-def _model_eigen_interpolants(K: float, N: float, r0: float, tol: float):
+def _model_eigen_interpolant(K: float, N: float, r0: float, tol: float):
     sol = first_dirichlet_eigen(Density.model(K, N, right=r0), r0, tol=tol)
-    phi = CubicSpline(sol.grid, sol.phi)
-    dphi = CubicSpline(sol.grid, sol.dphi)
-    return sol.eigenvalue, phi, dphi
+    return sol.eigenvalue, _cubic_hermite(sol.grid, sol.phi, sol.dphi)
 
 
 def _validate_inputs(h: Density, K: float, N: float, r0: float, theta: float) -> None:
@@ -103,9 +105,9 @@ def comparison_residual(h: Density, K: float, N: float, r0: float, theta: float,
                 f"density fails CD({K},{N}): relative slack {report.worst_violation:.3e} "
                 f"at node theta = {report.witness}",
             )
-    lam, phi, dphi = _model_eigen_interpolants(float(K), float(N), float(r0),
-                                               float(solver_tol))
-    lhs = weighted_integral(lambda t: dphi(t) ** 2, h, 0.0, theta, rel_tol=quad_tol)
+    lam, phi = _model_eigen_interpolant(float(K), float(N), float(r0), float(solver_tol))
+    lhs = weighted_integral(lambda t: phi(t, derivative=True) ** 2, h, 0.0, theta,
+                            rel_tol=quad_tol)
     rhs = lam * weighted_integral(lambda t: phi(t) ** 2, h, 0.0, theta, rel_tol=quad_tol)
     gap = rhs - lhs
     if rhs <= 0:

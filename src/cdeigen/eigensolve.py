@@ -11,7 +11,12 @@ left end where the weight h may vanish.  Two routes are provided:
   from near the singular end and root-finding on phi(r0).
 
 An adaptive Gauss-Kronrod quadrature for integrals against the measure
-h dtheta and the flux-identity diagnostic live here as well.
+h dtheta, the C^1 cubic Hermite interpolant of a solution's (phi, phi') and
+the flux-identity diagnostic live here as well.
+
+Only numpy and ``scipy.linalg.lapack`` load with this module, which is all
+the matrix route uses.  Shooting imports ``scipy.integrate`` and
+``scipy.optimize`` the first time it runs.
 """
 
 from __future__ import annotations
@@ -21,10 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
-from scipy.optimize import brentq
 
 from .errors import NonconvergenceError, PreconditionError
 from .modelspace import Density, max_diameter
@@ -454,24 +456,56 @@ def _piecewise_derivative(x: np.ndarray, y: np.ndarray, breaks) -> np.ndarray:
     return out
 
 
+def _cubic_hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray):
+    """C^1 piecewise cubic through the values y with slopes dy at the nodes x.
+
+    Returns f(t, derivative=False), the cubic or its derivative at the points
+    t inside [x[0], x[-1]].  ``np.interp`` of the node index locates each t
+    (a compiled search that starts from its last position) and yields the
+    interval i and the offset s in [0, 1] in one call; the cubic in s is
+    evaluated by Horner's rule with per-interval coefficients.
+    """
+    w = np.diff(x)
+    dlt = np.diff(y)
+    m0, m1 = w * dy[:-1], w * dy[1:]
+    c2 = 3.0 * dlt - 2.0 * m0 - m1
+    c3 = m0 + m1 - 2.0 * dlt
+    y0 = y[:-1]
+    index = np.arange(x.size, dtype=float)
+    last = x.size - 2
+
+    def f(t, derivative=False):
+        u = np.interp(t, x, index)
+        i = np.minimum(u.astype(np.intp), last)
+        s = u - i
+        if derivative:
+            return (m0[i] + s * (2.0 * c2[i] + 3.0 * s * c3[i])) / w[i]
+        return y0[i] + s * (m0[i] + s * (c2[i] + s * c3[i]))
+
+    return f
+
+
+_FX, _FW = np.polynomial.legendre.leggauss(4)
+_FX = 0.5 * (_FX + 1.0)
+_FW = 0.5 * _FW
+
+
 def flux_identity_residual(sol: EigenSolution, h: Density) -> float:
     """Scale-free defect of the identity phi'(t) h(t) = -lambda int_0^t phi h.
 
     The maximum over grid nodes of |phi' h + lambda F| is normalized by
-    lambda * F(r0), F being the cumulative integral of phi against h.
+    lambda * F(r0), F being the cumulative integral of phi against h.  F is
+    summed from 4-point Gauss rules on each grid interval, applied to the
+    C^1 cubic Hermite interpolant of the solution's own nodal phi and phi'.
     """
     x, phi, dphi = sol.grid, sol.phi, sol.dphi
     if not (x.shape == phi.shape == dphi.shape):
         raise PreconditionError("grid", "solution arrays have mismatched shapes")
     lam = sol.eigenvalue
-    spline = CubicSpline(x, phi)
-    qx, qw = np.polynomial.legendre.leggauss(4)
-    qx = 0.5 * (qx + 1.0)
-    qw = 0.5 * qw
     w = np.diff(x)
-    pts = x[:-1, None] + w[:, None] * qx[None, :]
+    pts = x[:-1, None] + w[:, None] * _FX[None, :]
     hv = np.asarray(h(pts.ravel()), dtype=float).reshape(pts.shape)
-    panels = w * ((hv * spline(pts)) @ qw)
+    panels = w * ((hv * _cubic_hermite(x, phi, dphi)(pts)) @ _FW)
     F = np.concatenate(([0.0], np.cumsum(panels)))
     defect = dphi * np.asarray(h(x), dtype=float) + lam * F
     denom = abs(lam) * F[-1]
@@ -582,6 +616,15 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
 
 # ------------------------------------------------------------------ shooting
 
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call, so that only
+    shooting loads scipy.integrate.  Shooting calls it through this module
+    global."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def _log_derivative(h: Density):
     """(log h)' as a scalar function on Python floats, for the shooting
     right-hand side."""
@@ -666,6 +709,8 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
         raise PreconditionError("bracket", f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
     if not (1e-12 < tol < 1e-3):
         raise PreconditionError("domain", f"tol must lie in (1e-12, 1e-3), got {tol}")
+
+    from scipy.optimize import brentq
 
     _, integrate = _shooting_machinery(h, r0)
 

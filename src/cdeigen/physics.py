@@ -17,6 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# Every closed-form N-scan needs Bessel zeros, which ``bounds`` computes with
+# scipy.special and scipy.optimize; load them with this module rather than
+# inside the first scan that misses the Bessel-zero cache.
+import scipy.optimize  # noqa: F401
+import scipy.special  # noqa: F401
 
 from .bounds import closed_form_bound
 from .eigensolve import first_dirichlet_eigen
@@ -41,8 +46,10 @@ class CompactificationSpec:
     diam: float
 
     def __post_init__(self):
-        if int(self.D) != self.D or int(self.d) != self.d:
-            raise PreconditionError("domain", "D and d must be integers")
+        for name in ("D", "d"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise PreconditionError("domain", f"{name} must be an integer, got {value}")
         if not self.D > self.d >= 1:
             raise PreconditionError(
                 "domain", f"need D > d >= 1, got D={self.D}, d={self.d}"
@@ -74,7 +81,7 @@ def kk_curvature(spec: CompactificationSpec, N: float) -> float:
 
 
 def _mode_radius(spec: CompactificationSpec, j: int) -> float:
-    if int(j) != j or j < 1:
+    if not float(j).is_integer() or j < 1:
         raise PreconditionError("domain", f"mode index j must be a positive integer, got {j}")
     return spec.diam / (2.0 * j)
 
@@ -146,7 +153,7 @@ def kk_mass_bound_optimal(spec: CompactificationSpec, j: int = 1,
     ``golden_tol``.  N values whose K(N) > 0 puts r0 beyond the model
     diameter are infeasible and excluded (treated as +inf).
     """
-    if grid_points < 8:
+    if not (math.isfinite(grid_points) and grid_points >= 8):
         raise PreconditionError("domain", f"grid_points must be at least 8, got {grid_points}")
     if not 0 < golden_tol < 1e-1:
         raise PreconditionError("domain", f"golden_tol must lie in (0, 0.1), got {golden_tol}")

@@ -13,6 +13,7 @@ from cdeigen.comparison import (
     composed_tolerance,
     rigidity_check,
 )
+from cdeigen.eigensolve import first_dirichlet_eigen, weighted_integral
 from cdeigen.errors import PreconditionError
 from cdeigen.modelspace import Density, check_cd_density, model_density
 
@@ -64,6 +65,25 @@ def test_gap_scale_invariance():
     assert r2.lhs == pytest.approx(10.0 * r1.lhs, rel=1e-10)
     assert r2.rhs == pytest.approx(10.0 * r1.rhs, rel=1e-10)
     assert r2.relative_gap == pytest.approx(r1.relative_gap, rel=1e-7, abs=1e-12)
+
+
+def test_comparison_matches_cubic_spline_reference():
+    # phi and phi' between the model solution's nodes come from its cubic
+    # Hermite; an interpolating cubic spline of the same samples agrees
+    from scipy.interpolate import CubicSpline
+
+    K, N, r0 = -4.0, 3.0, 1.0
+    grid = np.linspace(0.0, r0, 801)
+    h = Density.sampled(grid, np.sinh(grid) ** 2, interp_dim=3.0)
+    sol = first_dirichlet_eigen(Density.model(K, N, right=r0), r0)
+    phi = CubicSpline(sol.grid, sol.phi)
+    dphi = CubicSpline(sol.grid, sol.dphi)
+    for theta in (0.5, r0):
+        rep = comparison_residual(h, K, N, r0, theta)
+        lhs = weighted_integral(lambda t: dphi(t) ** 2, h, 0.0, theta)
+        rhs = sol.eigenvalue * weighted_integral(lambda t: phi(t) ** 2, h, 0.0, theta)
+        assert rep.lhs == pytest.approx(lhs, rel=1e-10)
+        assert rep.rhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_cd_violation_is_rejected_then_waived():
@@ -125,6 +145,12 @@ def test_rigidity_accepts_scaled_model():
     assert v.fitted_c == pytest.approx(7.0, rel=1e-4)
     assert v.max_relative_density_deviation <= 1e-6
     assert abs(v.relative_gap) <= 1e-6
+
+
+def test_rigidity_gap_of_the_model_against_itself():
+    v = rigidity_check(Density.model(-4.0, 3.0), -4.0, 3.0, 1.0, tol=1e-6)
+    assert v.rigid
+    assert abs(v.relative_gap) <= 1e-10
 
 
 def test_rigidity_rejects_perturbed_density():

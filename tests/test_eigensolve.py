@@ -450,6 +450,25 @@ def test_refinement_budget_exhaustion():
     assert exc.value.code == "refinement"
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(x0=st.floats(-2.0, 2.0),
+       widths=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=15),
+       coef=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_cubic_hermite_reproduces_cubics(x0, widths, coef, fracs):
+    # a cubic with its exact nodal slopes is its own C^1 Hermite interpolant
+    x = x0 + np.concatenate(([0.0], np.cumsum(widths)))
+    p = np.polynomial.Polynomial(coef)
+    dp = p.deriv()
+    f = eigensolve._cubic_hermite(x, p(x), dp(x))
+    t = np.concatenate((x, x[0] + np.asarray(fracs) * (x[-1] - x[0])))
+    big = float(np.max(np.abs(x)))
+    scale = sum(abs(c) * big ** k for k, c in enumerate(coef))
+    dscale = sum(k * abs(c) * big ** (k - 1) for k, c in enumerate(coef) if k)
+    assert np.max(np.abs(f(t) - p(t))) <= 1e-12 * max(scale, 1.0)
+    assert np.max(np.abs(f(t, derivative=True) - dp(t))) <= 1e-12 * max(dscale, 1.0)
+
+
 def test_flux_identity_residual_detects_wrong_eigenvalue():
     h = Density.model(0.0, 3.0, right=1.0)
     sol = first_dirichlet_eigen(h, 1.0)

@@ -27,8 +27,9 @@ def test_lazy_exports_are_the_submodule_objects():
     assert physics is sys.modules["cdeigen.physics"]
 
 
-def test_cold_cli_loads_only_the_scipy_it_needs():
+def _fresh_interpreter_report(body: str) -> dict:
     # A fresh interpreter, so that no other test has imported scipy yet.
+    # ``body`` fills the dict ``report``, which is printed as JSON.
     code = textwrap.dedent("""
         import contextlib, io, json, sys
 
@@ -39,27 +40,59 @@ def test_cold_cli_loads_only_the_scipy_it_needs():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(list(argv)) == 0, argv
 
-        import cdeigen
-        import cdeigen.cli
-        from cdeigen.cli import main
-        report = {"import": loaded("scipy")}
-        run("--version")
-        run("ess-spectrum", "--K", "-1", "--N", "4")
-        report["ess"] = loaded("scipy")
-        run("neumann-bound", "--K", "-1", "--N", "4", "--diam", "2")
-        report["neumann"] = loaded("scipy")
-        report["mpmath"] = "mpmath" in sys.modules
-        print(json.dumps(report))
-    """)
+        report = {}
+    """) + textwrap.dedent(body) + "\nprint(json.dumps(report))\n"
     src = os.path.dirname(os.path.dirname(cdeigen.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    report = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+UNUSED_BY_MATRIX = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special")
+
+
+def test_cold_cli_loads_only_the_scipy_it_needs():
+    report = _fresh_interpreter_report("""
+        import cdeigen
+        import cdeigen.cli
+        from cdeigen.cli import main
+        report["import"] = loaded("scipy")
+        run("--version")
+        run("ess-spectrum", "--K", "-1", "--N", "4")
+        report["ess"] = loaded("scipy")
+        run("model-eigen", "--K", "-4", "--N", "3", "--r0", "1")
+        report["model-eigen"] = loaded("scipy")
+        run("compare", "--model-K", "-4", "--K", "-4", "--N", "3", "--r0", "1",
+            "--theta", "0.5")
+        report["compare"] = loaded("scipy")
+        run("neumann-bound", "--K", "-1", "--N", "4", "--diam", "2")
+        report["neumann"] = loaded("scipy")
+        report["mpmath"] = "mpmath" in sys.modules
+    """)
     assert report["import"] == []
     assert report["ess"] == []
+    for command in ("model-eigen", "compare"):
+        assert "scipy.linalg" in report[command], command
+        for module in UNUSED_BY_MATRIX:
+            assert module not in report[command], (command, module)
     assert "scipy.special" in report["neumann"]
     assert "scipy.integrate" not in report["neumann"]
     assert "scipy.interpolate" not in report["neumann"]
     assert report["mpmath"] is False
+
+
+def test_physics_loads_bessel_scipy_and_shooting_loads_its_solvers():
+    report = _fresh_interpreter_report("""
+        import cdeigen.physics
+        from cdeigen.cli import main
+        report["physics"] = loaded("scipy")
+        run("model-eigen", "--K", "-4", "--N", "3", "--r0", "1", "--method", "shooting")
+        report["shooting"] = loaded("scipy")
+    """)
+    assert "scipy.special" in report["physics"]
+    assert "scipy.optimize" in report["physics"]
+    assert "scipy.integrate" not in report["physics"]
+    assert "scipy.interpolate" not in report["physics"]
+    assert "scipy.integrate" in report["shooting"]

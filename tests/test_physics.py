@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cdeigen import physics
-from cdeigen.bounds import closed_form_bound
+from cdeigen.bounds import closed_form_bound, neumann_upper_bound
 from cdeigen.cli import main
 from cdeigen.errors import NonconvergenceError, PreconditionError
 from cdeigen.modelspace import Density
@@ -175,6 +175,32 @@ def test_optimal_validation():
         kk_mass_bound_optimal(spec_a(), j=-1)
     with pytest.raises(PreconditionError):
         kk_mass_bound_optimal(spec_a(), method="fancy")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, call", [
+    ("D", lambda: CompactificationSpec(D=NAN, d=2, Lambda=0.0, sigma_w=0.0, diam=1.0)),
+    ("D", lambda: CompactificationSpec(D=INF, d=2, Lambda=0.0, sigma_w=0.0, diam=1.0)),
+    ("D", lambda: CompactificationSpec(D=-INF, d=2, Lambda=0.0, sigma_w=0.0, diam=1.0)),
+    ("d", lambda: CompactificationSpec(D=6, d=NAN, Lambda=0.0, sigma_w=0.0, diam=1.0)),
+    ("d", lambda: CompactificationSpec(D=6, d=INF, Lambda=0.0, sigma_w=0.0, diam=1.0)),
+    ("d", lambda: CompactificationSpec(D=6, d=-INF, Lambda=0.0, sigma_w=0.0, diam=1.0)),
+    ("j", lambda: neumann_upper_bound(-1.0, 4.0, 2.0, j=NAN)),
+    ("j", lambda: neumann_upper_bound(-1.0, 4.0, 2.0, j=INF)),
+    ("j", lambda: kk_mass_bound_at(spec_a(), NAN, 3.0)),
+    ("j", lambda: kk_mass_bound_at(spec_a(), INF, 3.0)),
+    ("j", lambda: kk_mass_bound_optimal(spec_a(), j=NAN)),
+    ("j", lambda: kk_mass_bound_optimal(spec_a(), j=INF)),
+    ("grid_points", lambda: kk_mass_bound_optimal(spec_a(), grid_points=NAN)),
+    ("grid_points", lambda: kk_mass_bound_optimal(spec_a(), grid_points=INF)),
+])
+def test_non_finite_integer_parameters_raise_domain(name, call):
+    with pytest.raises(PreconditionError) as exc:
+        call()
+    assert exc.value.code == "domain"
+    assert f"{name} must" in exc.value.message
 
 
 def test_optimal_scan_failure_names_its_N(monkeypatch):
