@@ -14,8 +14,8 @@ An adaptive Gauss-Kronrod quadrature for integrals against the measure
 h dtheta, the C^1 cubic Hermite interpolant of a solution's (phi, phi') and
 the flux-identity diagnostic live here as well.
 
-Only numpy and ``scipy.linalg.lapack`` load with this module, which is all
-the matrix route uses.  Shooting imports ``scipy.integrate`` and
+Only numpy and ``scipy.linalg`` load with this module, which is all the
+matrix route uses.  Shooting imports ``scipy.integrate`` and
 ``scipy.optimize`` the first time it runs.
 """
 
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .errors import NonconvergenceError, PreconditionError
 from .modelspace import Density, max_diameter
@@ -104,11 +104,11 @@ def _gk_panel(fh, a, b):
 
 
 def _vanishing_end_grading(h: Density, a: float, b: float) -> np.ndarray:
-    """Breakpoints 1e-6, 1e-4, 1e-2 and 1e-1 of the way from a to b when the
-    weight vanishes at a = 0, where it behaves like a power of theta; none
-    otherwise."""
+    """Breakpoints at every decade 1e-6, 1e-5, ..., 1e-1 of the way from a to
+    b when the weight vanishes at a = 0, where it behaves like a power of
+    theta; none otherwise."""
     if a == 0.0 and float(h(0.0)) == 0.0:
-        return b * np.array([1e-6, 1e-4, 1e-2, 1e-1])
+        return b * np.logspace(-6.0, -1.0, 6)
     return np.empty(0)
 
 
@@ -311,76 +311,62 @@ def _tri_mv(diag, off, x):
     return y
 
 
-def _smallest_eigenpair(prob: WeightedEigenProblem, shift: float, start):
-    """Smallest eigenpair of (A, B) by shifted inverse iteration.
+def _smallest_eigenpair(prob: WeightedEigenProblem, start):
+    """Smallest eigenpair of (A, B) by inverse iteration at a certified shift.
 
-    The iteration solves with a tridiagonal LDL^T factorization of
-    A - shift*B.  A successful factorization proves shift lies below the
-    smallest eigenvalue, so the iteration still converges to the ground
-    state, at the rate (lambda_1 - shift)/(lambda_2 - shift).  If it fails,
-    or shift is 0, A itself is factored, trimming leading rows whose pivots
-    underflow.  ``start`` (one value per unknown, or None for
-    1 - (theta/r0)^2) seeds the iteration; the Rayleigh quotient always
-    uses the unshifted A.  Returns (lambda, vector, n_trimmed).
+    Leading rows of zero lumped mass (h underflows there at large N) form a
+    massless chain with a free end; eliminating them leaves a natural end
+    at the first row k0 of nonzero mass.  M_L, the diagonal of B's row sums,
+    exceeds B by a sum of m_lr [[1, -1], [-1, 1]] with m_lr >= 0, so the
+    smallest eigenvalue lambda_L of (A, M_L) lies at or below that of
+    (A, B).  Sturm bisection on M_L^(-1/2) A M_L^(-1/2), bracketed by the
+    Rayleigh quotient mu0 of ``start`` (one value per unknown, or None for
+    1 - (theta/r0)^2), gives lambda_L to 1e-7 mu0, and A - sigma B is
+    factored once at sigma = (1 - 1e-3) lambda_L.  The iteration stops at the second step,
+    counted without reset, that fails to lower the Rayleigh quotient by
+    1e-14 relative, and raises ``eigen-iteration`` after 200 steps.
+    Returns (lambda, vector, k0).
     """
-    ad, ao = prob.stiff_diag, prob.stiff_off
-    bd, bo = prob.mass_diag, prob.mass_off
-    m = ad.size
-
-    # Rows where both matrices underflowed to zero (possible with large N)
-    # carry no information; drop them.
-    k0 = 0
-    while k0 < m - 2 and ad[k0] == 0.0 and bd[k0] == 0.0:
-        k0 += 1
-    ad, bd = ad[k0:], bd[k0:]
-    ao, bo = ao[k0:], bo[k0:]
-
-    info = 1
-    if shift > 0.0:
-        d, e, info = lapack.dpttrf(ad - shift * bd, ao - shift * bo)
-    if info != 0:
-        d, e, info = lapack.dpttrf(ad, ao)
-        while info > 0 and k0 < m - 2:
-            # Denormal leading pivots can break positive definiteness; trim more.
-            k0 += 1
-            ad, bd, ao, bo = ad[1:], bd[1:], ao[1:], bo[1:]
-            d, e, info = lapack.dpttrf(ad, ao)
-        if info != 0:
-            raise NonconvergenceError("factorization", f"tridiagonal factorization failed (info={info})")
+    lumped = prob.mass_diag + np.pad(prob.mass_off, (0, 1)) + np.pad(prob.mass_off, (1, 0))
+    k0 = int(np.argmax(lumped > 0.0))
+    ad, ao = prob.stiff_diag[k0:].copy(), prob.stiff_off[k0:]
+    bd, bo, lumped = prob.mass_diag[k0:], prob.mass_off[k0:], lumped[k0:]
+    ad[0] = -ao[0]
 
     if start is None:
         x = 1.0 - (prob.nodes[k0:-1] / prob.nodes[-1]) ** 2
     else:
         x = np.array(start[k0:], dtype=float)
     x /= math.sqrt(float(x @ _tri_mv(bd, bo, x)))
+    mu = float(x @ _tri_mv(ad, ao, x))
 
-    mu_prev = None
-    stag = 0
-    mu = math.inf
-    for it in range(200):
-        rhs = _tri_mv(bd, bo, x)
-        y, info = lapack.dpttrs(d, e, rhs)
+    r = 1.0 / np.sqrt(lumped)
+    lam_lumped = eigh_tridiagonal(ad / lumped, ao * r[:-1] * r[1:], eigvals_only=True,
+                                  select="v", select_range=(0.0, (1.0 + 1e-3) * mu),
+                                  tol=1e-7 * mu)[0]
+    sigma = (1.0 - 1e-3) * lam_lumped
+    d, e, info = lapack.dpttrf(ad - sigma * bd, ao - sigma * bo)
+    if info != 0:
+        raise NonconvergenceError("factorization", f"tridiagonal factorization failed (info={info})")
+
+    stalls = 0
+    for _ in range(200):
+        y, info = lapack.dpttrs(d, e, _tri_mv(bd, bo, x))
         if info != 0:
             raise NonconvergenceError("eigen-iteration", f"tridiagonal solve failed (info={info})")
         bnorm = math.sqrt(float(y @ _tri_mv(bd, bo, y)))
         if not (bnorm > 0 and math.isfinite(bnorm)):
             raise NonconvergenceError("eigen-iteration", "inverse iteration produced a degenerate iterate")
-        y /= bnorm
-        mu = float(y @ _tri_mv(ad, ao, y))
+        x = y / bnorm
+        mu_prev, mu = mu, float(x @ _tri_mv(ad, ao, x))
         # In exact arithmetic the quotient decreases monotonically, so a
         # step that fails to decrease it beyond roundoff is stagnation.
-        if mu_prev is not None and mu_prev - mu <= 1e-14 * abs(mu):
-            stag += 1
-            if stag >= 2 and it >= 4:
-                x = y
+        if mu_prev - mu <= 1e-14 * abs(mu):
+            stalls += 1
+            if stalls == 2:
                 break
-        else:
-            stag = 0
-        mu_prev = mu
-        x = y
     else:
-        if mu_prev is None or abs(mu - mu_prev) > 1e-10 * abs(mu):
-            raise NonconvergenceError("eigen-iteration", "inverse iteration did not stagnate")
+        raise NonconvergenceError("eigen-iteration", "inverse iteration did not stagnate within 200 steps")
 
     if float(np.sum(x)) < 0:
         x = -x
@@ -515,7 +501,7 @@ def flux_identity_residual(sol: EigenSolution, h: Density) -> float:
 
 
 def _nodal_vector(vec, k0, n):
-    """Eigenvector on all n nodes: trimmed leading rows repeat the first
+    """Eigenvector on all n nodes: eliminated leading rows repeat the first
     value, the Dirichlet end is zero."""
     phi = np.zeros(n)
     phi[k0:n - 1] = vec
@@ -553,9 +539,12 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     two successive extrapolated values agree to tol relatively (so at least
     three levels run).  It returns the last extrapolated value, but only
     once the flux-identity residual falls below 100*tol (the eigenfunction
-    can lag the eigenvalue on rough weights).  Each level after the first
-    runs inverse iteration shifted to 0.99 times the previous level's
-    eigenvalue, started from the previous eigenvector.
+    can lag the eigenvalue on rough weights).  Each level runs inverse
+    iteration from a shift certified to lie below its eigenvalue (see
+    ``_smallest_eigenpair``), started from the previous level's eigenvector.
+    ``grid`` is a GridSpec (or None for the default) and
+    ``max_refinements`` an integer of at least 2, which the three-level
+    stop needs; anything else raises PreconditionError naming it.
     The shooting route runs the matrix route at tol 1e-6, hands the bracket
     (0.9, 1.1) times that estimate to ``shoot_eigen``, samples the
     integrated eigenfunction on the grid (graded toward a vanishing weight
@@ -570,8 +559,13 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
         raise PreconditionError("domain", f"tol must lie in (1e-12, 1e-3), got {tol}")
     if method not in ("matrix", "shooting"):
         raise PreconditionError("domain", f"unknown method {method!r}")
+    if not isinstance(max_refinements, int) or max_refinements < 2:
+        raise PreconditionError(
+            "domain", f"max_refinements must be an integer >= 2, got {max_refinements!r}")
     if grid is None:
         grid = GridSpec()
+    if not isinstance(grid, GridSpec):
+        raise PreconditionError("grid", f"grid must be a GridSpec, got {type(grid).__name__}")
 
     if method == "shooting":
         return _shooting_solution(h, r0, tol, grid)
@@ -579,12 +573,10 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     include = h.grid if h.kind == "sampled" else ()
     nodes = grid.nodes(r0, include)
     history: list[float] = []
-    ex_prev = None
-    shift, start = 0.0, None
-    stuck_flux = None
+    ex_prev = start = stuck_flux = None
     for _ in range(max_refinements + 1):
         prob = assemble_weighted_problem(h, r0, nodes)
-        lam, vec, k0 = _smallest_eigenpair(prob, shift, start)
+        lam, vec, k0 = _smallest_eigenpair(prob, start)
         history.append(lam)
         if len(history) > 1:
             ex = lam + (lam - history[-2]) / 3.0
@@ -594,10 +586,6 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
                     return sol
                 stuck_flux = sol.flux_residual
             ex_prev = ex
-        # Conforming upper bounds decrease under refinement, so the next
-        # level's eigenvalue lies just below this one: shift to 99 % of it
-        # and start from this eigenvector, interpolated onto the new nodes.
-        shift = 0.99 * lam
         fine = _bisect_nodes(nodes)
         start = np.interp(fine[:-1], nodes, _nodal_vector(vec, k0, nodes.size))
         nodes = fine

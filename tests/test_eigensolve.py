@@ -248,6 +248,12 @@ def test_explicit_grid_validation():
         assemble_weighted_problem(h, 1.0, grid=np.array([0.0, 0.6, 0.4, 1.0]))
 
 
+def _dense_smallest_eigenvalue(prob):
+    A = np.diag(prob.stiff_diag) + np.diag(prob.stiff_off, 1) + np.diag(prob.stiff_off, -1)
+    B = np.diag(prob.mass_diag) + np.diag(prob.mass_off, 1) + np.diag(prob.mass_off, -1)
+    return scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 0))[0]
+
+
 def test_inverse_iteration_matches_dense_eigh():
     rng = np.random.default_rng(99)
     grid = np.linspace(0.0, 1.0, 40)
@@ -256,18 +262,16 @@ def test_inverse_iteration_matches_dense_eigh():
     h = Density.sampled(grid, vals)
     spec = GridSpec(node_count=64)
     sol = first_dirichlet_eigen(h, 1.0, grid=spec, tol=1e-6)
-    prob = assemble_weighted_problem(h, 1.0, grid=spec)
-    A = np.diag(prob.stiff_diag) + np.diag(prob.stiff_off, 1) + np.diag(prob.stiff_off, -1)
-    B = np.diag(prob.mass_diag) + np.diag(prob.mass_off, 1) + np.diag(prob.mass_off, -1)
-    lam_dense = scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 0))[0]
+    lam_dense = _dense_smallest_eigenvalue(assemble_weighted_problem(h, 1.0, grid=spec))
     assert sol.refinement_history[0] == pytest.approx(lam_dense, rel=1e-10)
 
 
 def test_inverse_iteration_stops_at_roundoff_on_kk_scan_end(monkeypatch):
     # The default kk-bound curve K(N) = 1 - (N+2)/(N-2) at N = 2.001, r0 = 1.
-    # The unshifted first level runs to its 200-iteration cap (lambda_1/lambda_2
-    # is 0.973 there); the shifted levels must stop once the Rayleigh quotient
-    # no longer decreases, not jitter at roundoff (9, 5 and 5 solves).
+    # lambda_1/lambda_2 is 0.973 on the first level, so an unshifted level
+    # would stop short of its eigenvalue; with the certified shift every
+    # level converges, and stops once the Rayleigh quotient no longer
+    # decreases instead of jittering at roundoff.
     calls = []
     dpttrs = eigensolve.lapack.dpttrs
 
@@ -277,9 +281,34 @@ def test_inverse_iteration_stops_at_roundoff_on_kk_scan_end(monkeypatch):
 
     monkeypatch.setattr(eigensolve.lapack, "dpttrs", counted)
     N = 2.001
-    sol = first_dirichlet_eigen(Density.model(1.0 - (N + 2.0) / (N - 2.0), N), 1.0)
-    assert len(calls) <= 225
-    assert sol.eigenvalue == pytest.approx(1010.4529244159801, rel=1e-10)
+    h = Density.model(1.0 - (N + 2.0) / (N - 2.0), N)
+    sol = first_dirichlet_eigen(h, 1.0)
+    assert len(calls) <= 30
+    coarse = GridSpec().nodes(1.0)
+    for level, nodes in enumerate((coarse, eigensolve._bisect_nodes(coarse))):
+        dense = _dense_smallest_eigenvalue(assemble_weighted_problem(h, 1.0, nodes))
+        assert sol.refinement_history[level] == pytest.approx(dense, rel=1e-10), level
+    ref = first_dirichlet_eigen(h, 1.0, tol=1e-11).eigenvalue
+    assert sol.eigenvalue == pytest.approx(ref, rel=1e-8)
+
+
+def test_inverse_iteration_raises_at_its_step_cap(monkeypatch):
+    # Each solve is perturbed by a constant vector that decays by 3 % per
+    # solve, so the Rayleigh quotient keeps falling well above roundoff and
+    # never stagnates: the first level must raise at its 200-step cap.
+    calls = []
+    dpttrs = eigensolve.lapack.dpttrs
+
+    def perturbed(*args):
+        calls.append(1)
+        y, info = dpttrs(*args)
+        return y + 0.97 ** len(calls) * np.max(np.abs(y)), info
+
+    monkeypatch.setattr(eigensolve.lapack, "dpttrs", perturbed)
+    with pytest.raises(NonconvergenceError) as exc:
+        first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
+    assert exc.value.code == "eigen-iteration"
+    assert len(calls) == 200
 
 
 def test_flat_weight_quarter_wave():
@@ -360,12 +389,12 @@ def test_matrix_and_shooting_agree(K, N, u):
 
 @pytest.mark.parametrize("K, N, r0", [
     (-0.0475, 1.0847, 1.32), (-2.185, 1.0766, 1.123), (0.0, 1.2, 1.0), (0.0, 1.3, 1.0),
-])
+] + [(0.0, N, r0) for N in (1.05, 1.08, 1.1, 1.15) for r0 in (0.125, 1.0)])
 def test_shooting_passes_its_flux_check_near_N_1(K, N, r0):
     # h ~ theta^(N-1) is nearly singular in slope at 0; the cumulative
-    # integral in the flux check needs the graded nodes there
+    # integral in the flux check needs graded nodes at every decade there
     sol = first_dirichlet_eigen(Density.model(K, N), r0, method="shooting")
-    assert sol.flux_residual <= 1e-6
+    assert sol.flux_residual <= 1e-7
     matrix = first_dirichlet_eigen(Density.model(K, N), r0).eigenvalue
     assert sol.eigenvalue == pytest.approx(matrix, rel=1e-7)
 
@@ -440,13 +469,25 @@ def test_solver_argument_validation():
     zero_inside = Density.sampled([0.0, 0.5, 1.0], [1.0, 0.0, 1.0])
     with pytest.raises(PreconditionError):
         first_dirichlet_eigen(zero_inside, 1.0)
+    # max_refinements >= 2, since three levels are the fewest that can stop
+    for kwargs, code, name in [
+        ({"grid": np.linspace(0.0, 1.0, 64)}, "grid", "GridSpec"),
+        ({"grid": 64}, "grid", "GridSpec"),
+        ({"max_refinements": 2.5}, "domain", "max_refinements"),
+        ({"max_refinements": 1}, "domain", "max_refinements"),
+        ({"max_refinements": -1}, "domain", "max_refinements"),
+        ({"max_refinements": 1, "method": "shooting"}, "domain", "max_refinements"),
+    ]:
+        with pytest.raises(PreconditionError) as exc:
+            first_dirichlet_eigen(h, 1.0, **kwargs)
+        assert exc.value.code == code and name in str(exc.value), kwargs
 
 
 def test_refinement_budget_exhaustion():
     h = Density.model(-1.0, 2.0, right=1.0)
     with pytest.raises(NonconvergenceError) as exc:
         first_dirichlet_eigen(h, 1.0, grid=GridSpec(node_count=16),
-                              tol=1e-11, max_refinements=1)
+                              tol=1e-11, max_refinements=2)
     assert exc.value.code == "refinement"
 
 

@@ -1,5 +1,8 @@
+import ast
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -96,3 +99,26 @@ def test_physics_loads_bessel_scipy_and_shooting_loads_its_solvers():
     assert "scipy.integrate" not in report["physics"]
     assert "scipy.interpolate" not in report["physics"]
     assert "scipy.integrate" in report["shooting"]
+
+
+def _raised_codes(error_class: str) -> set:
+    # Every string literal passed as the code of ``error_class`` in src/.
+    codes = set()
+    for path in pathlib.Path(cdeigen.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == error_class and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                codes.add(node.args[0].value)
+    return codes
+
+
+def test_readme_exit_code_table_lists_every_error_code():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) == 4 and cells[1] in ("2", "3"):
+            rows[int(cells[1])] = set(re.findall(r"`([^`]+)`", cells[2]))
+    assert rows[2] == _raised_codes("PreconditionError")
+    assert rows[3] == _raised_codes("NonconvergenceError")
