@@ -38,8 +38,9 @@ _META_KEYS = ("command", "format", "out", "config")
 def load_density_csv(path: str, interp_dim: float = 2.0) -> Density:
     """Read a sampled density from a ``theta,h`` CSV file.
 
-    Malformed content is reported with the offending line number; theta must
-    start at 0 and increase strictly, h must be nonnegative.
+    Malformed content is reported with the offending line number; theta and
+    h must be finite, theta must start at 0 and increase strictly, h must be
+    nonnegative.
     """
     from .modelspace import Density
 
@@ -69,8 +70,11 @@ def load_density_csv(path: str, interp_dim: float = 2.0) -> Density:
             try:
                 th, hv = float(row[0]), float(row[1])
             except ValueError:
+                th = hv = math.nan
+            if not (math.isfinite(th) and math.isfinite(hv)):
                 raise PreconditionError(
-                    "schema", f"{path}: line {ln}: non-numeric row {','.join(row)!r}"
+                    "schema", f"{path}: line {ln}: expected two finite numbers, "
+                    f"got {','.join(row)!r}"
                 )
             if not thetas and th != 0.0:
                 raise PreconditionError(

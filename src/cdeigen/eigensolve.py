@@ -5,14 +5,15 @@ over functions vanishing at r0, with natural (no) boundary condition at the
 left end where the weight h may vanish.  Two routes are provided:
 
 * a conforming piecewise-linear discretization whose generalized eigenvalue
-  is a variational upper bound, refined by mesh bisection and finished with
-  one Richardson extrapolation step;
+  is a variational upper bound, refined by mesh bisection, each level
+  Richardson-extrapolated against the one before;
 * a shooting method integrating the ODE phi'' + (log h)' phi' + lambda phi = 0
   from near the singular end and root-finding on phi(r0).
 
 An adaptive Gauss-Kronrod quadrature for integrals against the measure
 h dtheta, the C^1 cubic Hermite interpolant of a solution's (phi, phi') and
-the flux-identity diagnostic live here as well.
+the flux-identity diagnostic live here as well.  Mesh size, bisections and
+the quadrature's panel budget are module constants, not parameters.
 
 Only numpy and ``scipy.linalg`` load with this module, which is all the
 matrix route uses.  Shooting imports ``scipy.integrate`` and
@@ -112,8 +113,13 @@ def _vanishing_end_grading(h: Density, a: float, b: float) -> np.ndarray:
     return np.empty(0)
 
 
-def weighted_integral(f, h: Density, a: float, b: float,
-                      rel_tol: float = 1e-10, max_intervals: int = 4096) -> float:
+# First mesh size and bisections of the matrix route; quadrature panel budget.
+_BASE_NODES = 512
+_MAX_REFINEMENTS = 8
+_MAX_PANELS = 4096
+
+
+def weighted_integral(f, h: Density, a: float, b: float, rel_tol: float = 1e-10) -> float:
     """Adaptive quadrature of int_a^b f(theta) h(theta) dtheta.
 
     ``f`` may be a constant or a numpy-vectorizable callable.  The initial
@@ -123,7 +129,7 @@ def weighted_integral(f, h: Density, a: float, b: float,
     runs in rounds.  Each round bisects every panel whose error estimate
     exceeds its equal share rel_tol*|total|/n_panels of the target (the worst
     panel when none does) and evaluates all the halves in one call.  When
-    the round would take the partition past ``max_intervals`` panels, only
+    the round would take the partition past ``_MAX_PANELS`` panels, only
     the largest errors are split.  Panels narrower than 64 eps (b - a) are
     frozen.  NonconvergenceError("quadrature") is raised once the budget is
     spent or every panel is frozen.
@@ -157,7 +163,7 @@ def weighted_integral(f, h: Density, a: float, b: float,
             return total
         # Panels too narrow to bisect in double precision stay frozen.
         wide = hi - lo >= min_width
-        if lo.size >= max_intervals or not wide.any():
+        if lo.size >= _MAX_PANELS or not wide.any():
             raise NonconvergenceError(
                 "quadrature",
                 f"adaptive quadrature stalled at {lo.size} panels with "
@@ -167,7 +173,7 @@ def weighted_integral(f, h: Density, a: float, b: float,
         if not split.any():
             split[np.argmax(np.where(wide, err, -np.inf))] = True
         idx = np.flatnonzero(split)
-        room = max_intervals - lo.size
+        room = _MAX_PANELS - lo.size
         if idx.size > room:
             idx = idx[np.argsort(-err[idx], kind="stable")[:room]]
         mid = 0.5 * (lo[idx] + hi[idx])
@@ -180,32 +186,23 @@ def weighted_integral(f, h: Density, a: float, b: float,
 
 # ------------------------------------------------------------------ grids
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Initial mesh recipe: ``node_count`` uniform nodes on [0, r0].
+def _initial_nodes(h: Density, r0: float, extra=()) -> np.ndarray:
+    """``_BASE_NODES`` uniform nodes on [0, r0], joined with the points of
+    ``extra`` and a sampled density's nodes that lie inside (0, r0).
 
-    A uniform mesh is adequate because the first eigenfunction is smooth up
-    to the vanishing-weight end (it is analytic in theta^2 there); only the
-    weight is singular, and that is handled by per-element quadrature, not
-    by the mesh.  ``nodes`` also inserts any ``include`` points inside
-    (0, r0), such as the sample nodes of a sampled density.
-    """
-
-    node_count: int = 512
-
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise PreconditionError("domain", f"node_count must be >= 16, got {self.node_count}")
-
-    def nodes(self, r0: float, include=()) -> np.ndarray:
-        base = np.linspace(0.0, r0, self.node_count)
-        extra = [t for t in include if 0.0 < t < r0]
-        if extra:
-            base = np.union1d(base, np.asarray(extra, dtype=float))
-            keep = np.concatenate(([True], np.diff(base) > 1e-14 * r0))
-            base = base[keep]
-            base[-1] = r0
-        return base
+    Uniform suffices: the first eigenfunction is analytic in theta^2 up to
+    the vanishing-weight end; only the weight is singular there, and
+    per-element quadrature handles it."""
+    include = np.asarray(extra, dtype=float)
+    if h.kind == "sampled":
+        include = np.concatenate((include, h.grid))
+    include = include[(include > 0.0) & (include < r0)]
+    nodes = np.linspace(0.0, r0, _BASE_NODES)
+    if include.size:
+        nodes = np.union1d(nodes, include)
+        nodes = nodes[np.concatenate(([True], np.diff(nodes) > 1e-14 * r0))]
+        nodes[-1] = r0
+    return nodes
 
 
 def _bisect_nodes(nodes: np.ndarray) -> np.ndarray:
@@ -233,29 +230,20 @@ class WeightedEigenProblem:
     mass_diag: np.ndarray
     mass_off: np.ndarray
 
-    @property
-    def n_unknowns(self) -> int:
-        return self.stiff_diag.size
-
 
 _QX, _QW = np.polynomial.legendre.leggauss(8)
 _QX = 0.5 * (_QX + 1.0)
 _QW = 0.5 * _QW
 
 
-def assemble_weighted_problem(h: Density, r0: float, grid=None) -> WeightedEigenProblem:
-    """Assemble stiffness and mass matrices for the weight h on [0, r0]."""
+def assemble_weighted_problem(h: Density, r0: float, nodes) -> WeightedEigenProblem:
+    """Assemble stiffness and mass matrices for the weight h on the mesh
+    ``nodes``, which must increase strictly from 0 to r0."""
     _validate_problem(h, r0)
-    if grid is None:
-        grid = GridSpec()
-    if isinstance(grid, GridSpec):
-        include = h.grid if h.kind == "sampled" else ()
-        nodes = grid.nodes(r0, include)
-    else:
-        nodes = np.asarray(grid, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 3 or nodes[0] != 0.0 or nodes[-1] != r0 \
-                or np.any(np.diff(nodes) <= 0):
-            raise PreconditionError("grid", "explicit grid must increase strictly from 0 to r0")
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 3 or nodes[0] != 0.0 or nodes[-1] != r0 \
+            or np.any(np.diff(nodes) <= 0):
+        raise PreconditionError("grid", "the mesh must increase strictly from 0 to r0")
 
     w = np.diff(nodes)
     pts = nodes[:-1, None] + w[:, None] * _QX[None, :]
@@ -320,12 +308,13 @@ def _smallest_eigenpair(prob: WeightedEigenProblem, start):
     exceeds B by a sum of m_lr [[1, -1], [-1, 1]] with m_lr >= 0, so the
     smallest eigenvalue lambda_L of (A, M_L) lies at or below that of
     (A, B).  Sturm bisection on M_L^(-1/2) A M_L^(-1/2), bracketed by the
-    Rayleigh quotient mu0 of ``start`` (one value per unknown, or None for
-    1 - (theta/r0)^2), gives lambda_L to 1e-7 mu0, and A - sigma B is
-    factored once at sigma = (1 - 1e-3) lambda_L.  The iteration stops at the second step,
+    Rayleigh quotient mu0 of ``start`` (one value per unknown), gives
+    lambda_L to 1e-7 mu0, and A - sigma B is factored once at
+    sigma = (1 - 1e-3) lambda_L.  The iteration stops at the second step,
     counted without reset, that fails to lower the Rayleigh quotient by
     1e-14 relative, and raises ``eigen-iteration`` after 200 steps.
-    Returns (lambda, vector, k0).
+    Returns lambda and the eigenvector on all nodes: the eliminated rows
+    repeat the value of row k0, and the Dirichlet end is zero.
     """
     lumped = prob.mass_diag + np.pad(prob.mass_off, (0, 1)) + np.pad(prob.mass_off, (1, 0))
     k0 = int(np.argmax(lumped > 0.0))
@@ -333,10 +322,7 @@ def _smallest_eigenpair(prob: WeightedEigenProblem, start):
     bd, bo, lumped = prob.mass_diag[k0:], prob.mass_off[k0:], lumped[k0:]
     ad[0] = -ao[0]
 
-    if start is None:
-        x = 1.0 - (prob.nodes[k0:-1] / prob.nodes[-1]) ** 2
-    else:
-        x = np.array(start[k0:], dtype=float)
+    x = np.array(start[k0:], dtype=float)
     x /= math.sqrt(float(x @ _tri_mv(bd, bo, x)))
     mu = float(x @ _tri_mv(ad, ao, x))
 
@@ -372,7 +358,10 @@ def _smallest_eigenpair(prob: WeightedEigenProblem, start):
         x = -x
     if float(np.min(x)) < -1e-7 * float(np.max(x)):
         raise NonconvergenceError("eigen-iteration", "iterate is not one-signed; not the ground state")
-    return mu, x, k0
+    phi = np.zeros(prob.nodes.size)
+    phi[k0:-1] = x
+    phi[:k0] = x[0]
+    return mu, phi
 
 
 # ------------------------------------------------------------------ solutions
@@ -433,8 +422,6 @@ def _piecewise_derivative(x: np.ndarray, y: np.ndarray, breaks) -> np.ndarray:
     """
     cuts = sorted({int(np.searchsorted(x, b)) for b in breaks})
     cuts = [c for c in cuts if 1 < c < x.size - 1]
-    if not cuts:
-        return _poly_derivative(x, y)
     out = np.empty_like(y)
     edges = [0] + cuts + [x.size - 1]
     for a, b in zip(edges[:-1], edges[1:]):
@@ -500,27 +487,21 @@ def flux_identity_residual(sol: EigenSolution, h: Density) -> float:
     return float(np.max(np.abs(defect)) / denom)
 
 
-def _nodal_vector(vec, k0, n):
-    """Eigenvector on all n nodes: eliminated leading rows repeat the first
-    value, the Dirichlet end is zero."""
-    phi = np.zeros(n)
-    phi[k0:n - 1] = vec
-    phi[:k0] = vec[0]
-    return phi
-
-
-def _build_matrix_solution(h, nodes, lam, vec, k0, history, tol):
-    phi = _nodal_vector(vec, k0, nodes.size)
+def _eigen_solution(h, nodes, lam, phi, method, history, dphi=None) -> EigenSolution:
+    """Scale phi to sup-norm 1, clip it at 0, recover dphi from it (or scale
+    a given dphi alike), and attach the flux residual."""
     top = float(np.max(np.abs(phi)))
-    phi /= top
-    phi = np.maximum(phi, 0.0)
-    dphi = _piecewise_derivative(nodes, phi, _slope_kinks(h))
+    phi = np.maximum(phi / top, 0.0)
+    if dphi is None:
+        dphi = _piecewise_derivative(nodes, phi, _slope_kinks(h))
+    else:
+        dphi = dphi / top
     sol = EigenSolution(
         eigenvalue=lam,
         grid=nodes,
         phi=phi,
         dphi=dphi,
-        method="matrix",
+        method=method,
         refinement_history=history,
         flux_residual=math.nan,
     )
@@ -529,28 +510,25 @@ def _build_matrix_solution(h, nodes, lam, vec, k0, history, tol):
 
 
 def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
-                          grid: GridSpec | None = None, method: str = "matrix",
-                          max_refinements: int = 8) -> EigenSolution:
+                          method: str = "matrix") -> EigenSolution:
     """Smallest Dirichlet eigenvalue of the weight h on [0, r0].
 
-    The matrix route refines the mesh by bisection.  From the second level
-    on, each level's estimate is Richardson-extrapolated,
-    ex_k = lambda_k + (lambda_k - lambda_{k-1})/3, and the route stops once
-    two successive extrapolated values agree to tol relatively (so at least
-    three levels run).  It returns the last extrapolated value, but only
-    once the flux-identity residual falls below 100*tol (the eigenfunction
-    can lag the eigenvalue on rough weights).  Each level runs inverse
-    iteration from a shift certified to lie below its eigenvalue (see
+    The matrix route bisects the first mesh (``_initial_nodes``) up to
+    ``_MAX_REFINEMENTS`` times.  From the second level on, each level's
+    estimate is Richardson-extrapolated, ex_k = lambda_k + (lambda_k -
+    lambda_{k-1})/3, and the route stops once two successive extrapolated
+    values agree to tol relatively (so at least three levels run).  It
+    returns the last extrapolated value once the flux-identity residual
+    falls below 100*tol (the eigenfunction can lag the eigenvalue on rough
+    weights), and raises ``flux`` or ``refinement`` when the levels run out.
+    Each level runs inverse iteration from a certified shift (see
     ``_smallest_eigenpair``), started from the previous level's eigenvector.
-    ``grid`` is a GridSpec (or None for the default) and
-    ``max_refinements`` an integer of at least 2, which the three-level
-    stop needs; anything else raises PreconditionError naming it.
     The shooting route runs the matrix route at tol 1e-6, hands the bracket
     (0.9, 1.1) times that estimate to ``shoot_eigen``, samples the
-    integrated eigenfunction on the grid (graded toward a vanishing weight
-    at 0) and applies the same 100*tol flux gate.  On model densities it
-    agrees with the matrix route for K in [-5, 2], N in [1.05, 30] and r0 up
-    to min(2.5, 0.9 * diameter).  It fails as N -> 2+ on the default
+    integrated eigenfunction on the first mesh, graded toward a vanishing
+    weight at 0, and applies the same 100*tol flux gate.  On model densities
+    it agrees with the matrix route for K in [-5, 2], N in [1.05, 30] and r0
+    up to min(2.5, 0.9 * diameter).  It fails as N -> 2+ on the default
     kk-bound curve (``flux`` or ``bracket``) and from N = 55 on
     (``domain``: h(1e-6 r0) underflows to 0).
     """
@@ -559,45 +537,38 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
         raise PreconditionError("domain", f"tol must lie in (1e-12, 1e-3), got {tol}")
     if method not in ("matrix", "shooting"):
         raise PreconditionError("domain", f"unknown method {method!r}")
-    if not isinstance(max_refinements, int) or max_refinements < 2:
-        raise PreconditionError(
-            "domain", f"max_refinements must be an integer >= 2, got {max_refinements!r}")
-    if grid is None:
-        grid = GridSpec()
-    if not isinstance(grid, GridSpec):
-        raise PreconditionError("grid", f"grid must be a GridSpec, got {type(grid).__name__}")
 
     if method == "shooting":
-        return _shooting_solution(h, r0, tol, grid)
+        return _shooting_solution(h, r0, tol)
 
-    include = h.grid if h.kind == "sampled" else ()
-    nodes = grid.nodes(r0, include)
+    nodes = _initial_nodes(h, r0)
+    start = 1.0 - (nodes[:-1] / r0) ** 2
     history: list[float] = []
-    ex_prev = start = stuck_flux = None
-    for _ in range(max_refinements + 1):
+    ex_prev = stuck_flux = None
+    for _ in range(_MAX_REFINEMENTS + 1):
         prob = assemble_weighted_problem(h, r0, nodes)
-        lam, vec, k0 = _smallest_eigenpair(prob, start)
+        lam, phi = _smallest_eigenpair(prob, start)
         history.append(lam)
         if len(history) > 1:
             ex = lam + (lam - history[-2]) / 3.0
             if ex_prev is not None and abs(ex - ex_prev) <= tol * abs(ex):
-                sol = _build_matrix_solution(h, nodes, ex, vec, k0, history, tol)
+                sol = _eigen_solution(h, nodes, ex, phi, "matrix", history)
                 if sol.flux_residual <= 100.0 * tol:
                     return sol
                 stuck_flux = sol.flux_residual
             ex_prev = ex
         fine = _bisect_nodes(nodes)
-        start = np.interp(fine[:-1], nodes, _nodal_vector(vec, k0, nodes.size))
+        start = np.interp(fine[:-1], nodes, phi)
         nodes = fine
     if stuck_flux is not None:
         raise NonconvergenceError(
             "flux",
             f"flux-identity residual {stuck_flux:.3e} stayed above 100*tol "
-            f"within {max_refinements} refinements",
+            f"within {_MAX_REFINEMENTS} refinements",
         )
     raise NonconvergenceError(
         "refinement",
-        f"extrapolated eigenvalue did not settle to rel tol {tol} within {max_refinements} "
+        f"extrapolated eigenvalue did not settle to rel tol {tol} within {_MAX_REFINEMENTS} "
         f"refinements (history: {history})",
     )
 
@@ -622,16 +593,13 @@ def _log_derivative(h: Density):
         if kap == 0.0:
             return lambda t: nm1 / t
         rk = math.sqrt(abs(kap))
-        if kap > 0:
-            def dlog(t, rk=rk, nm1=nm1, kap=kap):
-                if rk * t < 1e-4:
-                    return nm1 * (1.0 / t - kap * t / 3.0)
-                return nm1 * rk / math.tan(rk * t)
-        else:
-            def dlog(t, rk=rk, nm1=nm1, kap=kap):
-                if rk * t < 1e-4:
-                    return nm1 * (1.0 / t - kap * t / 3.0)
-                return nm1 * rk / math.tanh(rk * t)
+        tan = math.tan if kap > 0 else math.tanh
+
+        def dlog(t):
+            if rk * t < 1e-4:
+                return nm1 * (1.0 / t - kap * t / 3.0)
+            return nm1 * rk / tan(rk * t)
+
         return dlog
 
     p = h.interp_dim - 1.0
@@ -706,10 +674,6 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
         return 1.0 + float(integrate(lam).y[0, -1])
 
     f_lo, f_hi = miss(lo), miss(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
     if f_lo * f_hi > 0:
         raise PreconditionError(
             "bracket",
@@ -722,18 +686,15 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
     return float(lam)
 
 
-def _shooting_solution(h: Density, r0: float, tol: float, grid: GridSpec) -> EigenSolution:
-    est = first_dirichlet_eigen(h, r0, tol=1e-6, grid=grid, method="matrix").eigenvalue
+def _shooting_solution(h: Density, r0: float, tol: float) -> EigenSolution:
+    est = first_dirichlet_eigen(h, r0, tol=1e-6, method="matrix").eigenvalue
     lam = shoot_eigen(h, r0, (0.9 * est, 1.1 * est), tol)
 
     eps0, integrate = _shooting_machinery(h, r0)
     ivp = integrate(lam, dense=True)
     # The grading keeps the flux check's cumulative integral of phi h
     # accurate where h vanishes like a power of theta.
-    include = _vanishing_end_grading(h, 0.0, r0)
-    if h.kind == "sampled":
-        include = np.concatenate((include, h.grid))
-    nodes = grid.nodes(r0, include)
+    nodes = _initial_nodes(h, r0, _vanishing_end_grading(h, 0.0, r0))
     phi = np.empty_like(nodes)
     dphi = np.empty_like(nodes)
     inside = nodes >= eps0
@@ -744,19 +705,7 @@ def _shooting_solution(h: Density, r0: float, tol: float, grid: GridSpec) -> Eig
     phi[~inside] = 1.0
     dphi[~inside] = 0.0
     phi[-1] = 0.0
-    top = float(np.max(np.abs(phi)))
-    phi = np.maximum(phi / top, 0.0)
-    dphi /= top
-    sol = EigenSolution(
-        eigenvalue=lam,
-        grid=nodes,
-        phi=phi,
-        dphi=dphi,
-        method="shooting",
-        refinement_history=[est, lam],
-        flux_residual=math.nan,
-    )
-    sol.flux_residual = flux_identity_residual(sol, h)
+    sol = _eigen_solution(h, nodes, lam, phi, "shooting", [est, lam], dphi)
     if sol.flux_residual > 100.0 * tol:
         raise NonconvergenceError(
             "flux", f"flux-identity residual {sol.flux_residual:.3e} exceeds 100*tol"

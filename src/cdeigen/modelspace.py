@@ -125,6 +125,8 @@ class Density:
         d = max_diameter(K, N)
         if right is None:
             right = d
+        else:
+            require_finite(right=right)
         if right <= 0:
             raise PreconditionError("domain", f"right endpoint must be positive, got {right}")
         if right > d:
@@ -141,14 +143,16 @@ class Density:
             raise PreconditionError("schema", "grid and values must be 1-d arrays of equal length")
         if g.size < 3:
             raise PreconditionError("schema", f"sampled densities need at least 3 nodes, got {g.size}")
+        # Finiteness first: a NaN compares False and np.diff of infinities warns.
+        if not np.all(np.isfinite(g)) or np.any(np.diff(g) <= 0):
+            raise PreconditionError("schema", "sample grid must be finite and strictly increasing")
         if g[0] != 0.0:
             raise PreconditionError("schema", f"sample grid must start at 0, starts at {g[0]}")
-        if np.any(np.diff(g) <= 0):
-            raise PreconditionError("schema", "sample grid must be strictly increasing")
         if np.any(~np.isfinite(v)) or np.any(v < 0):
             raise PreconditionError("schema", "sample values must be finite and nonnegative")
         if not np.any(v > 0):
             raise PreconditionError("schema", "sample values must not all vanish")
+        require_finite(interp_dim=interp_dim)
         if interp_dim <= 1:
             raise PreconditionError("domain", f"interp_dim must exceed 1, got {interp_dim}")
         return cls(
@@ -240,6 +244,9 @@ def check_cd_density(
     interval and tested like a sampled one.
     """
     d = max_diameter(K, N)
+    require_finite(tolerance=tolerance)
+    if tolerance < 0:
+        raise PreconditionError("domain", f"tolerance must be nonnegative, got {tolerance}")
     if interval is None:
         interval = (0.0, h.right)
     lo, hi = float(interval[0]), float(interval[1])

@@ -48,6 +48,10 @@ def test_load_density_csv_errors(tmp_path):
         ("theta,h\n0,1\n1,1\n0.5,1\n", "monotonicity"),
         ("theta,h\n0,1\n1,-2\n2,1\n", "negative-value"),
         ("theta,h\n0,1\n1,1\n", "schema"),
+        ("theta,h\n0,1\nnan,1\n2,1\n", "schema"),
+        ("theta,h\n0,1\n1,1\ninf,1\n", "schema"),
+        ("theta,h\n0,1\n1,nan\n2,1\n", "schema"),
+        ("theta,h\n0,1\n1,inf\n2,1\n", "schema"),
     ]
     for i, (content, code) in enumerate(cases):
         p = tmp_path / f"bad{i}.csv"
@@ -63,10 +67,11 @@ def test_load_density_csv_errors(tmp_path):
 
 def test_load_density_csv_reports_line_numbers(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("theta,h\n0,1\n1,1\n0.5,1\n")
-    with pytest.raises(PreconditionError) as exc:
-        load_density_csv(str(p))
-    assert "line 4" in str(exc.value)
+    for content in ("theta,h\n0,1\n1,1\n0.5,1\n", "theta,h\n0,1\n1,1\nnan,1\n"):
+        p.write_text(content)
+        with pytest.raises(PreconditionError) as exc:
+            load_density_csv(str(p))
+        assert "line 4" in str(exc.value), content
 
 
 def test_load_density_csv_skips_blank_lines(tmp_path):
@@ -230,6 +235,32 @@ def test_non_finite_K_or_N_is_a_domain_error(capsys, tmp_path, argv, name):
     error = json.loads(err)["error"]
     assert error["code"] == "domain"
     assert error["message"].startswith(f"{name} must be finite")
+
+
+@pytest.mark.parametrize("argv, rows, code, text", [
+    (["check-density", "--K", "-1", "--N", "3"], "nan,1", "schema", "line 5"),
+    (["compare", "--K", "-1", "--N", "3", "--r0", "1", "--theta", "0.5"], "nan,1",
+     "schema", "line 5"),
+    (["compare", "--K", "-1", "--N", "3", "--r0", "1", "--theta", "0.5"], "inf,1",
+     "schema", "line 5"),
+    (["compare", "--K", "-1", "--N", "3", "--r0", "1", "--theta", "0.5",
+      "--interp-dim", "nan"], "", "domain", "interp_dim must be finite"),
+    (["compare", "--K", "-1", "--N", "3", "--r0", "1", "--theta", "0.5",
+      "--interp-dim", "inf"], "", "domain", "interp_dim must be finite"),
+    (["check-density", "--K", "-1", "--N", "3", "--tol", "nan"], "", "domain",
+     "tolerance must be finite"),
+    (["check-density", "--K", "-1", "--N", "3", "--tol=-1e-9"], "", "domain",
+     "tolerance must be nonnegative"),
+])
+def test_bad_density_input_exits_two(capsys, tmp_path, argv, rows, code, text):
+    # a CSV of theta = 0, 1, 2, with an optional bad last row on line 5
+    path = tmp_path / "h.csv"
+    lines = ["theta,h", "0,0", "1,1", "2,4", rows]
+    path.write_text("\n".join(line for line in lines if line) + "\n")
+    rc, out, err = run_cli(capsys, *argv, "--csv", str(path))
+    assert rc == 2 and out == "", (argv, out, err)
+    error = json.loads(err)["error"]
+    assert error["code"] == code and text in error["message"], error
 
 
 def test_argparse_failures_exit_two(capsys):

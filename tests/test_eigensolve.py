@@ -12,7 +12,6 @@ from cdeigen import eigensolve
 from cdeigen.bounds import closed_form_bound
 from cdeigen.eigensolve import (
     EigenSolution,
-    GridSpec,
     assemble_weighted_problem,
     first_dirichlet_eigen,
     flux_identity_residual,
@@ -166,33 +165,33 @@ def test_weighted_integral_tolerance_below_roundoff_raises():
     assert exc.value.code == "quadrature"
 
 
-def test_weighted_integral_split_stays_within_panel_budget():
-    # a round that flags every panel must still stop at max_intervals
+def test_weighted_integral_split_stays_within_panel_budget(monkeypatch):
+    # a round that flags every panel must still stop at the panel budget
+    monkeypatch.setattr(eigensolve, "_MAX_PANELS", 64)
     h = Density.model(0.0, 2.0, right=1.0)
     with pytest.raises(NonconvergenceError) as exc:
-        weighted_integral(lambda th: np.cos(50.0 * th), h, 0.0, 1.0, rel_tol=1e-18,
-                          max_intervals=64)
+        weighted_integral(lambda th: np.cos(50.0 * th), h, 0.0, 1.0, rel_tol=1e-18)
     assert exc.value.code == "quadrature"
     panels = int(re.search(r"stalled at (\d+) panels", exc.value.message).group(1))
     assert panels <= 64
 
 
-def test_gridspec_uniform_and_geometric():
-    u = GridSpec(node_count=33).nodes(2.0)
+def test_initial_nodes(monkeypatch):
+    monkeypatch.setattr(eigensolve, "_BASE_NODES", 33)
+    u = eigensolve._initial_nodes(Density.model(0.0, 3.0), 2.0)
     assert u.size == 33 and u[0] == 0.0 and u[-1] == 2.0
     assert np.allclose(np.diff(u), 2.0 / 32)
 
-
-def test_gridspec_include_points():
-    n = GridSpec(node_count=16).nodes(1.0, include=(0.33, 0.77, 5.0))
+    # extra points and a sampled density's nodes join inside (0, r0) only,
+    # and a sample node within 1e-14 r0 of a uniform node is not doubled
+    monkeypatch.setattr(eigensolve, "_BASE_NODES", 16)
+    h = Density.sampled([0.0, 0.2 + 1e-16, 0.5, 1.2, 1.5], [1.0, 1.0, 2.0, 1.0, 1.0])
+    n = eigensolve._initial_nodes(h, 1.0, extra=(0.33, 0.77, 1.0, 5.0))
     assert n[0] == 0.0 and n[-1] == 1.0
-    assert 0.33 in n and 0.77 in n and 5.0 not in n
+    assert 0.33 in n and 0.77 in n and 0.5 in n
+    assert 5.0 not in n and 1.2 not in n
     assert np.all(np.diff(n) > 0)
-
-
-def test_gridspec_validation():
-    with pytest.raises(PreconditionError):
-        GridSpec(node_count=4)
+    assert n.size == 16 + 3
 
 
 def test_assembly_matches_hat_function_quadrature():
@@ -202,7 +201,7 @@ def test_assembly_matches_hat_function_quadrature():
 
     h = Density.model(-1.0, 3.0, right=1.5)  # integer N keeps h smooth at 0
     nodes = np.linspace(0.0, 1.5, 8)
-    prob = assemble_weighted_problem(h, 1.5, grid=nodes)
+    prob = assemble_weighted_problem(h, 1.5, nodes)
 
     def hat(i, x):
         x = np.asarray(x)
@@ -225,7 +224,7 @@ def test_assembly_matches_hat_function_quadrature():
         return up + down
 
     kw = dict(points=nodes, limit=200, epsabs=1e-13, epsrel=1e-12)
-    m = prob.n_unknowns
+    m = prob.stiff_diag.size
     for i in range(m):
         s_ii = quad(lambda x: dhat(i, x) ** 2 * h(x), 0.0, 1.5, **kw)[0]
         m_ii = quad(lambda x: hat(i, x) ** 2 * h(x), 0.0, 1.5, **kw)[0]
@@ -241,11 +240,13 @@ def test_assembly_matches_hat_function_quadrature():
 def test_explicit_grid_validation():
     h = Density.model(0.0, 3.0, right=1.0)
     with pytest.raises(PreconditionError):
-        assemble_weighted_problem(h, 1.0, grid=np.array([0.1, 0.5, 1.0]))
+        assemble_weighted_problem(h, 1.0, np.array([0.1, 0.5, 1.0]))
     with pytest.raises(PreconditionError):
-        assemble_weighted_problem(h, 1.0, grid=np.array([0.0, 0.5, 0.9]))
+        assemble_weighted_problem(h, 1.0, np.array([0.0, 0.5, 0.9]))
     with pytest.raises(PreconditionError):
-        assemble_weighted_problem(h, 1.0, grid=np.array([0.0, 0.6, 0.4, 1.0]))
+        assemble_weighted_problem(h, 1.0, np.array([0.0, 0.6, 0.4, 1.0]))
+    with pytest.raises(PreconditionError):
+        assemble_weighted_problem(h, 1.0, np.array([0.0, 1.0]))
 
 
 def _dense_smallest_eigenvalue(prob):
@@ -254,15 +255,17 @@ def _dense_smallest_eigenvalue(prob):
     return scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 0))[0]
 
 
-def test_inverse_iteration_matches_dense_eigh():
+def test_inverse_iteration_matches_dense_eigh(monkeypatch):
+    monkeypatch.setattr(eigensolve, "_BASE_NODES", 64)
     rng = np.random.default_rng(99)
     grid = np.linspace(0.0, 1.0, 40)
     vals = 0.5 + rng.random(40)
     vals[0] = 0.0
     h = Density.sampled(grid, vals)
-    spec = GridSpec(node_count=64)
-    sol = first_dirichlet_eigen(h, 1.0, grid=spec, tol=1e-6)
-    lam_dense = _dense_smallest_eigenvalue(assemble_weighted_problem(h, 1.0, grid=spec))
+    sol = first_dirichlet_eigen(h, 1.0, tol=1e-6)
+    nodes = eigensolve._initial_nodes(h, 1.0)
+    assert sol.grid[::2 ** (len(sol.refinement_history) - 1)].tolist() == nodes.tolist()
+    lam_dense = _dense_smallest_eigenvalue(assemble_weighted_problem(h, 1.0, nodes))
     assert sol.refinement_history[0] == pytest.approx(lam_dense, rel=1e-10)
 
 
@@ -284,7 +287,7 @@ def test_inverse_iteration_stops_at_roundoff_on_kk_scan_end(monkeypatch):
     h = Density.model(1.0 - (N + 2.0) / (N - 2.0), N)
     sol = first_dirichlet_eigen(h, 1.0)
     assert len(calls) <= 30
-    coarse = GridSpec().nodes(1.0)
+    coarse = eigensolve._initial_nodes(h, 1.0)
     for level, nodes in enumerate((coarse, eigensolve._bisect_nodes(coarse))):
         dense = _dense_smallest_eigenvalue(assemble_weighted_problem(h, 1.0, nodes))
         assert sol.refinement_history[level] == pytest.approx(dense, rel=1e-10), level
@@ -353,9 +356,9 @@ def test_eigenfunction_monotone_decreasing():
         assert np.all(sol.dphi[inner] < 0.0), (K, N)
 
 
-def test_refinement_history_is_monotone_upper_bounds():
-    sol = first_dirichlet_eigen(Density.model(1.0, 3.0, right=2.0), 2.0,
-                                grid=GridSpec(node_count=32))
+def test_refinement_history_is_monotone_upper_bounds(monkeypatch):
+    monkeypatch.setattr(eigensolve, "_BASE_NODES", 32)
+    sol = first_dirichlet_eigen(Density.model(1.0, 3.0, right=2.0), 2.0)
     hist = np.asarray(sol.refinement_history)
     assert hist.size >= 2
     assert np.all(np.diff(hist) <= 0.0)  # conforming upper bounds decrease
@@ -469,26 +472,18 @@ def test_solver_argument_validation():
     zero_inside = Density.sampled([0.0, 0.5, 1.0], [1.0, 0.0, 1.0])
     with pytest.raises(PreconditionError):
         first_dirichlet_eigen(zero_inside, 1.0)
-    # max_refinements >= 2, since three levels are the fewest that can stop
-    for kwargs, code, name in [
-        ({"grid": np.linspace(0.0, 1.0, 64)}, "grid", "GridSpec"),
-        ({"grid": 64}, "grid", "GridSpec"),
-        ({"max_refinements": 2.5}, "domain", "max_refinements"),
-        ({"max_refinements": 1}, "domain", "max_refinements"),
-        ({"max_refinements": -1}, "domain", "max_refinements"),
-        ({"max_refinements": 1, "method": "shooting"}, "domain", "max_refinements"),
-    ]:
-        with pytest.raises(PreconditionError) as exc:
-            first_dirichlet_eigen(h, 1.0, **kwargs)
-        assert exc.value.code == code and name in str(exc.value), kwargs
 
 
-def test_refinement_budget_exhaustion():
+def test_refinement_budget_exhaustion(monkeypatch):
+    # three levels are the fewest that can stop; 16 nodes are too coarse
+    # for two extrapolated values to agree to 1e-11
+    monkeypatch.setattr(eigensolve, "_BASE_NODES", 16)
+    monkeypatch.setattr(eigensolve, "_MAX_REFINEMENTS", 2)
     h = Density.model(-1.0, 2.0, right=1.0)
     with pytest.raises(NonconvergenceError) as exc:
-        first_dirichlet_eigen(h, 1.0, grid=GridSpec(node_count=16),
-                              tol=1e-11, max_refinements=2)
+        first_dirichlet_eigen(h, 1.0, tol=1e-11)
     assert exc.value.code == "refinement"
+    assert "within 2 refinements" in str(exc.value)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -111,6 +111,41 @@ def test_sampled_density_validation():
         Density.sampled([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
     with pytest.raises(PreconditionError):
         Density.sampled([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], interp_dim=1.0)
+    # NaN compares False, so a non-finite abscissa would slip past the
+    # ordering test; it is rejected before np.diff can warn
+    for grid in ([0.0, math.nan, 1.0], [0.0, 0.5, math.inf], [math.nan, 0.5, 1.0]):
+        with pytest.raises(PreconditionError, match="finite") as exc:
+            Density.sampled(grid, [1.0, 1.0, 1.0])
+        assert exc.value.code == "schema", grid
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: Density.sampled([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], interp_dim=bad),
+     "interp_dim"),
+    (lambda bad: Density.model(-1.0, 3.0, right=bad), "right"),
+    (lambda bad: check_cd_density(Density.model(-1.0, 3.0, right=1.0), -1.0, 3.0,
+                                  tolerance=bad), "tolerance"),
+], ids=["interp_dim", "right", "tolerance"])
+def test_non_finite_parameter_is_a_domain_error(call, name):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match=f"^{name} must be finite") as exc:
+            call(bad)
+        assert exc.value.code == "domain"
+
+
+def test_out_of_range_parameter_is_a_domain_error():
+    for call, name in [
+        (lambda: Density.sampled([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], interp_dim=0.5),
+         "interp_dim"),
+        (lambda: Density.model(-1.0, 3.0, right=0.0), "right endpoint"),
+        (lambda: check_cd_density(Density.model(-1.0, 3.0, right=1.0), -1.0, 3.0,
+                                  tolerance=-1e-9), "tolerance"),
+    ]:
+        with pytest.raises(PreconditionError, match=name) as exc:
+            call()
+        assert exc.value.code == "domain"
+    assert check_cd_density(Density.model(-1.0, 3.0, right=1.0), -1.0, 3.0,
+                            tolerance=0.0).satisfied
 
 
 def test_sampled_density_interpolation():
@@ -130,12 +165,23 @@ def test_sampled_density_evaluation_outside_domain():
         h(1.5)
 
 
+def _log_h_difference(h, theta, eps):
+    return (math.log(h(theta + eps)) - math.log(h(theta - eps))) / (2 * eps)
+
+
 def test_log_derivative():
     h = Density.model(-2.0, 4.0)
     theta = 0.8
-    eps = 1e-6
-    fd = (math.log(h(theta + eps)) - math.log(h(theta - eps))) / (2 * eps)
+    fd = _log_h_difference(h, theta, 1e-6)
     assert _log_derivative(h)(theta) == pytest.approx(fd, rel=1e-8)
+
+    # K > 0 (tan), K = 0 (1/t), and both signs of K where sqrt|kappa| t
+    # < 1e-4 selects the series 1/t - kappa t/3
+    for K, N, t in [(2.0, 3.0, 1.3), (1.0, 5.0, 0.4), (0.0, 3.0, 0.8), (0.0, 1.5, 0.05),
+                    (2.0, 3.0, 5e-5), (-2.0, 3.0, 5e-5)]:
+        hk = Density.model(K, N)
+        fdk = _log_h_difference(hk, t, 1e-3 * t)
+        assert _log_derivative(hk)(t) == pytest.approx(fdk, rel=1e-6), (K, N, t)
 
     grid = np.linspace(0.0, 2.0, 800)
     hs = Density.sampled(grid, model_density(-2.0, 4.0, grid), interp_dim=4.0)
