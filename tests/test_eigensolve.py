@@ -176,12 +176,15 @@ def test_weighted_integral_split_stays_within_panel_budget(monkeypatch):
     assert panels <= 64
 
 
-def test_initial_nodes(monkeypatch):
+def test_gridspec_uniform_and_geometric(monkeypatch):
+    # the initial mesh is _BASE_NODES uniform nodes on [0, r0]
     monkeypatch.setattr(eigensolve, "_BASE_NODES", 33)
     u = eigensolve._initial_nodes(Density.model(0.0, 3.0), 2.0)
     assert u.size == 33 and u[0] == 0.0 and u[-1] == 2.0
     assert np.allclose(np.diff(u), 2.0 / 32)
 
+
+def test_gridspec_include_points(monkeypatch):
     # extra points and a sampled density's nodes join inside (0, r0) only,
     # and a sample node within 1e-14 r0 of a uniform node is not doubled
     monkeypatch.setattr(eigensolve, "_BASE_NODES", 16)
