@@ -309,7 +309,7 @@ def _smallest_eigenpair(prob: WeightedEigenProblem, start):
     smallest eigenvalue lambda_L of (A, M_L) lies at or below that of
     (A, B).  Sturm bisection on M_L^(-1/2) A M_L^(-1/2), bracketed by the
     Rayleigh quotient mu0 of ``start`` (one value per unknown), gives
-    lambda_L to 1e-7 mu0, and A - sigma B is factored once at
+    lambda_L to 1e-5 mu0, and A - sigma B is factored once at
     sigma = (1 - 1e-3) lambda_L.  The iteration stops at the second step,
     counted without reset, that fails to lower the Rayleigh quotient by
     1e-14 relative, and raises ``eigen-iteration`` after 200 steps.
@@ -329,7 +329,7 @@ def _smallest_eigenpair(prob: WeightedEigenProblem, start):
     r = 1.0 / np.sqrt(lumped)
     lam_lumped = eigh_tridiagonal(ad / lumped, ao * r[:-1] * r[1:], eigvals_only=True,
                                   select="v", select_range=(0.0, (1.0 + 1e-3) * mu),
-                                  tol=1e-7 * mu)[0]
+                                  tol=1e-5 * mu)[0]
     sigma = (1.0 - 1e-3) * lam_lumped
     d, e, info = lapack.dpttrf(ad - sigma * bd, ao - sigma * bo)
     if info != 0:
@@ -371,9 +371,10 @@ class EigenSolution:
     """Converged first Dirichlet eigenpair on [0, r0].
 
     phi is sampled on ``grid``, normalized to sup-norm 1 with nonnegative
-    sign; dphi holds the recovered derivative.  refinement_history records
-    the raw per-level eigenvalue estimates (the final eigenvalue adds one
-    Richardson step on top of the last entry for the matrix method).
+    sign; dphi holds its nodal slopes (integrated by shooting, those of
+    5-node interpolants of phi by the matrix route).  refinement_history
+    records the raw per-level eigenvalue estimates (the final eigenvalue adds
+    one Richardson step on top of the last entry for the matrix method).
     """
 
     eigenvalue: float
@@ -386,17 +387,23 @@ class EigenSolution:
 
 
 def _poly_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Derivative of scattered samples via sliding local quartic fits."""
+    """Slope at each node of the polynomial of degree <= 4 through its 5
+    nearest nodes (all n when n < 5; windows clipped at the ends): a Newton
+    divided-difference table over all nodes at once, then p' by Horner."""
     n = x.size
     win = min(5, n)
     start = np.clip(np.arange(n) - win // 2, 0, n - win)
-    idx = start[:, None] + np.arange(win)[None, :]
-    xi = x[idx] - x[:, None]
-    scale = np.max(np.abs(xi), axis=1, keepdims=True)
-    s = xi / scale
-    V = s[:, :, None] ** np.arange(win)[None, None, :]
-    coef = np.linalg.solve(V, y[idx][:, :, None])
-    return coef[:, 1, 0] / scale[:, 0]
+    xs = [x[start + k] for k in range(win)]
+    c = [y[start + k] for k in range(win)]
+    for j in range(1, win):
+        for k in range(win - 1, j - 1, -1):
+            c[k] = (c[k] - c[k - 1]) / (xs[k] - xs[k - j])
+    p, dp = c[-1], np.zeros(n)
+    for k in range(win - 2, -1, -1):
+        t = x - xs[k]
+        dp = dp * t + p
+        p = p * t + c[k]
+    return dp
 
 
 def _slope_kinks(h: Density):
@@ -488,8 +495,8 @@ def flux_identity_residual(sol: EigenSolution, h: Density) -> float:
 
 
 def _eigen_solution(h, nodes, lam, phi, method, history, dphi=None) -> EigenSolution:
-    """Scale phi to sup-norm 1, clip it at 0, recover dphi from it (or scale
-    a given dphi alike), and attach the flux residual."""
+    """Scale phi to sup-norm 1, clip it at 0, recover dphi from it by divided
+    differences (or scale a given dphi alike); attach the flux residual."""
     top = float(np.max(np.abs(phi)))
     phi = np.maximum(phi / top, 0.0)
     if dphi is None:

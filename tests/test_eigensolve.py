@@ -317,6 +317,31 @@ def test_inverse_iteration_raises_at_its_step_cap(monkeypatch):
     assert len(calls) == 200
 
 
+def test_certified_shift_keeps_its_margin_over_the_bisection_error(monkeypatch):
+    # sigma = (1 - 1e-3) lambda_L is below every level's eigenvalue only if
+    # the bisection's error, at most its tol, stays well inside the
+    # 1e-3 lambda_L margin: here within 5 % of it, on every level
+    seen = []
+    eigh_tridiagonal = eigensolve.eigh_tridiagonal
+
+    def recorded(*args, **kwargs):
+        lam_l = eigh_tridiagonal(*args, **kwargs)
+        seen.append((kwargs["tol"], float(lam_l[0])))
+        return lam_l
+
+    monkeypatch.setattr(eigensolve, "eigh_tridiagonal", recorded)
+    # r0 = 1 on two models and on the default kk-bound curve K = 1 - (N+2)/(N-2)
+    densities = [Density.model(-4.0, 3.0), Density.model(0.0, 1.05)]
+    densities += [Density.model(1.0 - (N + 2.0) / (N - 2.0), N)
+                  for N in (2.001, 30.0, 300.0, 2000.0)]
+    for h in densities:
+        seen.clear()
+        first_dirichlet_eigen(h, 1.0)
+        assert len(seen) >= 3
+        for level, (tol, lam_l) in enumerate(seen):
+            assert 0.0 < tol <= 0.05 * 1e-3 * lam_l, (h.K, h.N, level, tol, lam_l)
+
+
 def test_flat_weight_quarter_wave():
     # constant weight: natural condition at 0, Dirichlet at r0, so the
     # fundamental mode is cos(pi theta / (2 r0)) with eigenvalue (pi/2r0)^2
@@ -458,6 +483,79 @@ def test_sampled_density_with_kink():
     a = first_dirichlet_eigen(h, 1.5, method="matrix").eigenvalue
     b = first_dirichlet_eigen(h, 1.5, method="shooting").eigenvalue
     assert a == pytest.approx(b, rel=1e-6)
+
+
+def _graded_nodes():
+    h = Density.model(0.0, 3.0)
+    return eigensolve._initial_nodes(h, 1.0, eigensolve._vanishing_end_grading(h, 0.0, 1.0))
+
+
+def _stencil_rounding(x, y):
+    """sum_k |l_k'(x_i) y_k| over each node's window, l_k the Lagrange basis
+    of the window: how much the stencil amplifies the rounding of y."""
+    n = x.size
+    win = min(5, n)
+    out = np.empty(n)
+    for i in range(n):
+        s = min(max(i - win // 2, 0), n - win)
+        X, Y, m = x[s:s + win], y[s:s + win], i - s
+        w = [sum(1.0 / (X[m] - X[j]) for j in range(win) if j != m) if k == m else
+             np.prod([X[m] - X[j] for j in range(win) if j not in (k, m)])
+             / np.prod([X[k] - X[j] for j in range(win) if j != k]) for k in range(win)]
+        out[i] = np.sum(np.abs(np.asarray(w) * Y))
+    return out
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "graded", "random"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, None])
+def test_poly_derivative_is_exact_on_polynomials(mesh, n):
+    # the slopes come from the interpolant of degree <= 4 through each
+    # node's window, so they reproduce any polynomial of degree <= n - 1
+    # (n = None takes the whole mesh: interior and end windows).  The
+    # error allowed is 1e-10 of the slope scale plus the rounding of the
+    # samples through the stencil, which only matters on the first graded
+    # nodes (0, 1e-6, 1e-5, ...): there a slope of an O(1) function is a
+    # difference over 1e-6, whatever computes it.
+    rng = np.random.default_rng(7)
+    x = {"uniform": np.linspace(0.0, 1.0, 41),
+         "graded": _graded_nodes(),
+         "random": np.sort(rng.uniform(-1.0, 2.0, 60))}[mesh]
+    x = x[:n]
+    deg = min(4, x.size - 1)
+    for _ in range(5):
+        p = np.polynomial.Polynomial(rng.uniform(-3.0, 3.0, deg + 1))
+        y = p(x)
+        big = float(np.max(np.abs(x)))
+        dscale = sum(k * abs(c) * big ** (k - 1) for k, c in enumerate(p.coef) if k)
+        err = np.abs(eigensolve._poly_derivative(x, y) - p.deriv()(x))
+        allowed = 1e-10 * dscale + 8.0 * np.finfo(float).eps * _stencil_rounding(x, y)
+        assert np.all(err <= allowed), (mesh, x.size, np.max(err / allowed))
+
+
+def test_piecewise_derivative_is_one_sided_at_a_break():
+    # y has slope 2 left of the node 0.5 and -3 from it on; the windows
+    # stop at the break, and the shared node takes the right-hand slope
+    x = np.linspace(0.0, 1.0, 11)
+    y = np.where(x < 0.5, 2.0 * x, 1.0 - 3.0 * (x - 0.5))
+    dy = eigensolve._piecewise_derivative(x, y, [0.5])
+    expect = np.where(x < 0.5, 2.0, -3.0)
+    assert np.max(np.abs(dy - expect)) <= 1e-12
+
+
+def test_solves_recover_slopes_without_a_dense_linear_solve(monkeypatch):
+    # slope recovery uses divided differences; a batched LU fit must not
+    # come back into any route
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    h = Density.model(-4.0, 3.0)
+    assert first_dirichlet_eigen(h, 1.0).flux_residual <= 1e-6
+    assert first_dirichlet_eigen(h, 1.0, method="shooting").flux_residual <= 1e-6
+    kinked = Density.sampled([0.0, 0.3, 0.31, 1.0, 1.5], [0.2, 0.9, 2.5, 2.0, 1.4],
+                             interp_dim=2.0)
+    assert eigensolve._slope_kinks(kinked)
+    assert first_dirichlet_eigen(kinked, 1.5).flux_residual <= 1e-6
 
 
 def test_solver_argument_validation():
