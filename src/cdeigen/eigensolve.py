@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import bisect as _bisect_mod
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cache, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
@@ -531,9 +534,10 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     Each level runs inverse iteration from a certified shift (see
     ``_smallest_eigenpair``), started from the previous level's eigenvector.
     The shooting route runs the matrix route at tol 1e-6, hands the bracket
-    (0.9, 1.1) times that estimate to ``shoot_eigen``, samples the
-    integrated eigenfunction on the first mesh, graded toward a vanishing
-    weight at 0, and applies the same 100*tol flux gate.  On model densities
+    (0.9, 1.1) times that estimate to ``shoot_eigen``, integrates once more
+    at the root to take phi and phi' from LSODA's own interpolant at the
+    nodes of the first mesh, graded toward a vanishing weight at 0, and
+    applies the same 100*tol flux gate.  On model densities
     it agrees with the matrix route for K in [-5, 2], N in [1.05, 30] and r0
     up to min(2.5, 0.9 * diameter).  It fails as N -> 2+ on the default
     kk-bound curve (``flux`` or ``bracket``) and from N = 55 on
@@ -582,13 +586,32 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
 
 # ------------------------------------------------------------------ shooting
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call, so that only
-    shooting loads scipy.integrate.  Shooting calls it through this module
-    global."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+def solve_ivp(fun, t_span, y0, *, t_eval=None, rtol, atol):
+    """LSODA on y' = fun(t, y) from t_span[0] to t_span[1], never stepping
+    past t_span[1].
 
-    return scipy_solve_ivp(*args, **kwargs)
+    ``scipy.integrate.odeint`` runs LSODA's step loop in compiled code and
+    calls Python only for the right-hand side; it is imported on the first
+    call, so that only shooting loads scipy.integrate.  The result has the
+    fields of a ``scipy.integrate.solve_ivp`` result that shooting reads:
+    ``t`` (t_eval, or t_span[1] alone), ``y`` (one column per time),
+    ``nfev``, ``success`` and ``message``.  A failure is reported there, not
+    as an ``ODEintWarning``.  Shooting calls the integrator only through
+    this module global.
+    """
+    from scipy.integrate import ODEintWarning, odeint
+
+    t0, t1 = t_span
+    t = np.array([t1] if t_eval is None else t_eval, dtype=float)
+    # odeint's first row is y(t0); it serves a t_eval point at t0 as well.
+    times = np.concatenate(([t0], t[t > t0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(fun, y0, times, tfirst=True, rtol=rtol, atol=atol, tcrit=[t1],
+                         mxstep=2**31 - 1, full_output=True)
+    return SimpleNamespace(t=t, y=y[times.size - t.size:].T, nfev=int(info["nfe"][-1]),
+                           success=info["message"] == "Integration successful.",
+                           message=info["message"])
 
 
 def _log_derivative(h: Density):
@@ -625,16 +648,27 @@ def _log_derivative(h: Density):
     return dlog
 
 
-def _shooting_machinery(h: Density, r0: float):
+@lru_cache(maxsize=1)
+def _shooting_start(h: Density, r0: float):
+    """Start point eps0 = 1e-6 r0 of the shooting ODE, the mass m([0, eps0])
+    and h(eps0).  A shooting solve needs them in ``shoot_eigen`` and again
+    for its eigenfunction pass; one cached entry, keyed by the density's
+    identity, runs the quadrature once."""
     eps0 = r0 * 1e-6
     mass0 = weighted_integral(1.0, h, 0.0, eps0, rel_tol=1e-10)
     heps = float(h(eps0))
     if not heps > 0:
         raise PreconditionError("domain", "density vanishes at the shooting start point")
+    return eps0, mass0, heps
+
+
+def _shooting_machinery(h: Density, r0: float):
+    eps0, mass0, heps = _shooting_start(h, r0)
     dlog = _log_derivative(h)
 
-    def integrate(lam, dense=False):
-        """Integrate (phi - 1, phi') from eps0 to r0, from phi(eps0) = 1.
+    def integrate(lam, t_eval=None):
+        """Integrate (phi - 1, phi') from eps0 to r0, from phi(eps0) = 1, and
+        return them at t_eval (default: r0 alone).
 
         Near the singular end phi differs from 1 by O(lam theta^2).  LSODA
         weighs a switch from Adams to BDF only while its error estimate is
@@ -647,10 +681,16 @@ def _shooting_machinery(h: Density, r0: float):
             return (y[1], -lam * (1.0 + y[0]) - dlog(t) * y[1])
 
         # Initial slope from the flux identity: phi' (eps) = -lam m([0,eps]) / h(eps).
-        ivp = solve_ivp(rhs, (eps0, r0), [0.0, -lam * mass0 / heps],
-                        method="LSODA", rtol=1e-11, atol=1e-13, dense_output=dense)
+        ivp = solve_ivp(rhs, (eps0, r0), [0.0, -lam * mass0 / heps], t_eval=t_eval,
+                        rtol=1e-11, atol=1e-13)
         if not ivp.success:
-            raise NonconvergenceError("stiffness", f"ODE integration failed: {ivp.message}")
+            raise NonconvergenceError(
+                "stiffness", f"ODE integration at lambda = {lam!r} failed: {ivp.message}")
+        # A NaN right-hand side does not stop LSODA; it ends "successfully".
+        if not np.all(np.isfinite(ivp.y)):
+            raise NonconvergenceError(
+                "stiffness", f"ODE integration at lambda = {lam!r} ended at a non-finite "
+                f"(phi, phi') = ({1.0 + ivp.y[0, -1]}, {ivp.y[1, -1]})")
         return ivp
 
     return eps0, integrate
@@ -660,11 +700,13 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
     """Shooting eigenvalue: root of lambda -> phi(r0) inside ``bracket``.
 
     phi'' + (log h)' phi' + lambda phi = 0 is integrated from eps0 = 1e-6 r0
-    to r0 by LSODA (Adams/BDF, rtol 1e-11, atol 1e-13), starting from
+    to r0 by LSODA (Adams/BDF, rtol 1e-11, atol 1e-13, through
+    ``scipy.integrate.odeint``, never stepping past r0), starting from
     phi(eps0) = 1 and the flux identity phi'(eps0) = -lambda m([0, eps0]) /
-    h(eps0).  Brent's method finds the root to xtol tol * bracket[0].
-    Raises ``bracket`` when phi(r0) has one sign at both ends, ``stiffness``
-    when LSODA fails, and ``shooting`` when |phi(r0)| stays above 100*tol.
+    h(eps0).  Brent's method finds the root to xtol tol * bracket[0]; each
+    trial lambda is integrated once.  Raises ``bracket`` when phi(r0) has
+    one sign at both ends, ``stiffness`` when LSODA fails or ends at a
+    non-finite state, and ``shooting`` when |phi(r0)| stays above 100*tol.
     """
     _validate_problem(h, r0)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -677,6 +719,9 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
 
     _, integrate = _shooting_machinery(h, r0)
 
+    # brentq evaluates both bracket ends again and returns a point it has
+    # evaluated, so the cache integrates each trial lambda once.
+    @cache
     def miss(lam):
         return 1.0 + float(integrate(lam).y[0, -1])
 
@@ -698,19 +743,16 @@ def _shooting_solution(h: Density, r0: float, tol: float) -> EigenSolution:
     lam = shoot_eigen(h, r0, (0.9 * est, 1.1 * est), tol)
 
     eps0, integrate = _shooting_machinery(h, r0)
-    ivp = integrate(lam, dense=True)
     # The grading keeps the flux check's cumulative integral of phi h
     # accurate where h vanishes like a power of theta.
     nodes = _initial_nodes(h, r0, _vanishing_end_grading(h, 0.0, r0))
-    phi = np.empty_like(nodes)
-    dphi = np.empty_like(nodes)
     inside = nodes >= eps0
-    vals = ivp.sol(nodes[inside])
+    vals = integrate(lam, nodes[inside]).y
+    # Below the start point phi is flat to O(eps^2); pin the natural boundary.
+    phi = np.ones_like(nodes)
+    dphi = np.zeros_like(nodes)
     phi[inside] = 1.0 + vals[0]
     dphi[inside] = vals[1]
-    # Below the start point phi is flat to O(eps^2); pin the natural boundary.
-    phi[~inside] = 1.0
-    dphi[~inside] = 0.0
     phi[-1] = 0.0
     sol = _eigen_solution(h, nodes, lam, phi, "shooting", [est, lam], dphi)
     if sol.flux_residual > 100.0 * tol:

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -431,10 +433,13 @@ def test_shooting_passes_its_flux_check_near_N_1(K, N, r0):
 
 
 @pytest.mark.parametrize("K, N, r0, max_integrations, max_nfev", [
-    (-4.28841, 8.403, 1.56601, 12, 8000),
+    pytest.param(-4.28841, 8.403, 1.56601, 9, 5000, id="-4.28841-8.403-1.56601"),
     # integrated in phi rather than phi - 1, LSODA held a stale
     # stability-limited step of 2e-8 here for millions of steps
-    (-4.3923, 19.592, 0.262, 14, 14000),
+    pytest.param(-4.3923, 19.592, 0.262, 10, 8000, id="-4.3923-19.592-0.262"),
+    # K > 0 near the diameter: (log h)' stays finite past r0, so only the
+    # integrator's stop at r0 keeps t inside the interval
+    pytest.param(2.0, 3.0, 0.9 * max_diameter(2.0, 3.0), 7, 3200, id="2.0-3.0-0.9diam"),
 ])
 def test_shooting_ode_work(monkeypatch, K, N, r0, max_integrations, max_nfev):
     # rhs evaluations are counted as they happen, so a stuck integrator
@@ -446,6 +451,7 @@ def test_shooting_ode_work(monkeypatch, K, N, r0, max_integrations, max_nfev):
         def rhs(t, y):
             count["nfev"] += 1
             assert count["nfev"] <= max_nfev, "ODE right-hand side evaluations over budget"
+            assert t <= r0, f"right-hand side evaluated at t = {t} beyond r0 = {r0}"
             return fun(t, y)
 
         count["integrations"] += 1
@@ -453,7 +459,114 @@ def test_shooting_ode_work(monkeypatch, K, N, r0, max_integrations, max_nfev):
 
     monkeypatch.setattr(eigensolve, "solve_ivp", counted)
     first_dirichlet_eigen(Density.model(K, N), r0, method="shooting")
-    assert count["integrations"] <= max_integrations
+    # shooting must integrate through the module's solve_ivp, or the
+    # budgets above check nothing
+    assert 1 <= count["integrations"] <= max_integrations
+
+
+def test_solve_ivp_matches_scipy_lsoda():
+    # the odeint-backed integrator takes LSODA's steps exactly as scipy's
+    # solve_ivp(method="LSODA") does (test-only reference)
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    h, r0, lam = Density.model(-4.28841, 8.403), 1.56601, 20.0
+    dlog = eigensolve._log_derivative(h)
+
+    def rhs(t, y):
+        return (y[1], -lam * (1.0 + y[0]) - dlog(t) * y[1])
+
+    eps0, y0 = 1e-6 * r0, [0.0, -lam * 1e-6 * r0 / h.N]
+    ours = eigensolve.solve_ivp(rhs, (eps0, r0), y0, rtol=1e-11, atol=1e-13)
+    ref = scipy_solve_ivp(rhs, (eps0, r0), y0, method="LSODA", rtol=1e-11, atol=1e-13)
+    assert ours.success and ref.success
+    assert ours.t.tolist() == [r0]
+    assert 1.0 + ours.y[0, -1] == pytest.approx(1.0 + ref.y[0, -1], rel=1e-12)
+    assert ours.nfev == ref.nfev
+    # the first output time sets LSODA's first step, so sampling at t_eval
+    # moves the end state within the tolerance only; a start point is y0
+    at = eigensolve.solve_ivp(rhs, (eps0, r0), y0, t_eval=np.linspace(eps0, r0, 9),
+                              rtol=1e-11, atol=1e-13)
+    assert at.success and at.y.shape == (2, 9)
+    assert at.y[:, 0].tolist() == y0
+    assert 1.0 + at.y[0, -1] == pytest.approx(1.0 + ours.y[0, -1], rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_shooting_raises_stiffness_on_a_nan_right_hand_side(monkeypatch):
+    # LSODA integrates a NaN right-hand side "successfully"; the NaN end
+    # state must not reach brentq as a bare ValueError
+    dlog = eigensolve._log_derivative
+
+    def poisoned(h):
+        inner = dlog(h)
+        return lambda t: math.nan if t > 0.5 else inner(t)
+
+    monkeypatch.setattr(eigensolve, "_log_derivative", poisoned)
+    h = Density.model(-2.0, 4.0)
+    with pytest.raises(NonconvergenceError, match="lambda = ") as exc:
+        shoot_eigen(h, 1.0, (5.0, 30.0))
+    assert exc.value.code == "stiffness"
+    with pytest.raises(NonconvergenceError) as exc:
+        first_dirichlet_eigen(h, 1.0, method="shooting")
+    assert exc.value.code == "stiffness"
+
+
+@pytest.mark.filterwarnings("error")
+def test_shooting_raises_stiffness_when_lsoda_fails(monkeypatch):
+    # an illegal tolerance makes odeint itself fail; the failure is coded
+    # and no ODEintWarning escapes
+    solve_ivp = eigensolve.solve_ivp
+
+    def illegal(fun, t_span, y0, **kwargs):
+        return solve_ivp(fun, t_span, y0, **{**kwargs, "rtol": -1.0})
+
+    monkeypatch.setattr(eigensolve, "solve_ivp", illegal)
+    with pytest.raises(NonconvergenceError, match="lambda = 5.0 failed") as exc:
+        shoot_eigen(Density.model(-2.0, 4.0), 1.0, (5.0, 30.0))
+    assert exc.value.code == "stiffness"
+
+
+def test_shooting_start_cache_under_threads(monkeypatch):
+    # one cached start state is shared by every thread; interleaved solves
+    # of densities with different start masses must each start from their
+    # own phi'(eps0) / lambda = -m([0, eps0]) / h(eps0)
+    cases = [Density.model(0.0, N) for N in (2.5, 4.0, 6.0, 9.0)]
+    matrix = [first_dirichlet_eigen(h, 1.0).eigenvalue for h in cases]
+    expected = []
+    for h in cases:
+        _, mass0, heps = eigensolve._shooting_start.__wrapped__(h, 1.0)
+        expected.append(-mass0 / heps)
+    local = threading.local()
+    slopes = [[] for _ in cases]
+    results = [[] for _ in cases]
+    solve_ivp = eigensolve.solve_ivp
+
+    def recorded(fun, t_span, y0, **kwargs):
+        lam = -fun(t_span[0], [0.0, 0.0])[1]
+        slopes[local.case].append(y0[1] / lam)
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    def work(i):
+        local.case = i
+        for _ in range(3):
+            results[i].append(shoot_eigen(cases[i], 1.0, (0.9 * matrix[i], 1.1 * matrix[i])))
+
+    monkeypatch.setattr(eigensolve, "solve_ivp", recorded)
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for lams, ref, ratios, want in zip(results, matrix, slopes, expected):
+        assert len(lams) == 3 and len(set(lams)) == 1
+        assert lams[0] == pytest.approx(ref, rel=1e-7)
+        assert ratios and all(r == pytest.approx(want, rel=1e-12) for r in ratios)
 
 
 def test_shoot_eigen_bracket_behavior():
