@@ -105,6 +105,13 @@ def closed_form_bound(K: float, N: float, r0: float) -> BoundValue:
     return BoundValue(-(N - 1.0) * K / 4.0 + j * j / r0**2 + extra, False, "upper_n_gt_3")
 
 
+def mode_radius(diam: float, j: int) -> float:
+    """Radius diam/(2j) of the model ball that bounds the j-th Neumann mode."""
+    if not float(j).is_integer() or j < 1:
+        raise PreconditionError("domain", f"mode index j must be a positive integer, got {j}")
+    return diam / (2.0 * int(j))
+
+
 def neumann_upper_bound(K: float, N: float, diam: float, j: int,
                         method: str = "closed_form", solver_tol: float = 1e-8) -> float:
     """Upper bound on the j-th Neumann eigenvalue of a space of diameter diam.
@@ -114,13 +121,11 @@ def neumann_upper_bound(K: float, N: float, diam: float, j: int,
     """
     if not (diam > 0 and math.isfinite(diam)):
         raise PreconditionError("hypothesis", f"diameter must be positive and finite, got {diam}")
-    if not float(j).is_integer() or j < 1:
-        raise PreconditionError("domain", f"mode index j must be a positive integer, got {j}")
+    r0 = mode_radius(diam, j)
     d = max_diameter(K, N)
     if diam > d * (1.0 + 1e-12):
         raise PreconditionError(
             "hypothesis", f"diameter {diam} exceeds the bound {d} forced by K = {K} > 0")
-    r0 = diam / (2.0 * int(j))
     if method == "closed_form":
         return closed_form_bound(K, N, r0).value
     if method == "solver":

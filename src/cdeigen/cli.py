@@ -18,8 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,8 +27,6 @@ from .errors import CdeigenError, NonconvergenceError, PreconditionError
 
 if TYPE_CHECKING:
     from .modelspace import Density
-
-_META_KEYS = ("command", "format", "out", "config")
 
 
 # ------------------------------------------------------------- density files
@@ -106,18 +102,6 @@ def write_density_csv(h: Density, path: str) -> None:
         handle.write("theta,h\n")
         for th, hv in zip(h.grid, h.values):
             handle.write(f"{th:.17g},{hv:.17g}\n")
-
-
-# ---------------------------------------------------------------- run config
-
-@dataclass
-class RunConfig:
-    """A parsed command: name, operation parameters, and output routing."""
-
-    command: str
-    params: dict
-    output_format: str = "json"
-    out: str | None = None
 
 
 # ------------------------------------------------------------- computations
@@ -232,13 +216,13 @@ def _compute_rigidity(p):
 
 
 def _compute_neumann_bound(p):
-    from .bounds import neumann_upper_bound
+    from .bounds import mode_radius, neumann_upper_bound
 
     value = neumann_upper_bound(p.K, p.N, p.diam, p.j, method=p.method, solver_tol=p.tol)
     result = {
         "bound": value,
         "j": p.j,
-        "r0": p.diam / (2.0 * p.j),
+        "r0": mode_radius(p.diam, p.j),
     }
     diagnostics = {"method": p.method, "tol": p.tol}
     return result, diagnostics
@@ -278,17 +262,6 @@ def _compute_kk_bound(p):
     return result, diagnostics
 
 
-_COMPUTE = {
-    "model-eigen": _compute_model_eigen,
-    "check-density": _compute_check_density,
-    "compare": _compute_compare,
-    "rigidity": _compute_rigidity,
-    "neumann-bound": _compute_neumann_bound,
-    "ess-spectrum": _compute_ess_spectrum,
-    "kk-bound": _compute_kk_bound,
-}
-
-
 # ------------------------------------------------------------------ parsers
 
 def _parse_float_pair(text: str, name: str) -> tuple[float, float]:
@@ -321,18 +294,36 @@ def _add_density_source(p: argparse.ArgumentParser) -> None:
                    help="interpolation exponent parameter for sampled densities")
 
 
-def _command_parsers() -> dict[str, argparse.ArgumentParser]:
-    table: dict[str, argparse.ArgumentParser] = {}
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``cdeigen`` parser and its subcommand parsers by name.
 
-    p = argparse.ArgumentParser(prog="cdeigen model-eigen", add_help=False)
+    Each command that computes a report carries its compute function as the
+    parser default ``compute``; ``sweep`` has none.
+    """
+    top = argparse.ArgumentParser(
+        prog="cdeigen",
+        description="Eigenvalue comparison on weighted intervals: model "
+                    "eigenvalues, CD(K,N) density checks, closed-form bounds, "
+                    "and Kaluza-Klein mass bounds.",
+    )
+    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name: str, compute, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(compute=compute)
+        return p
+
+    p = command("model-eigen", _compute_model_eigen,
+                "first Dirichlet eigenvalue of the (K, N) model weight")
     p.add_argument("--K", type=float, required=True, help="curvature parameter")
     p.add_argument("--N", type=float, required=True, help="dimension parameter, > 1")
     p.add_argument("--r0", type=float, required=True, help="Dirichlet radius")
     p.add_argument("--tol", type=float, default=1e-8, help="solver relative tolerance")
     p.add_argument("--method", choices=("matrix", "shooting"), default="matrix")
-    table["model-eigen"] = p
 
-    p = argparse.ArgumentParser(prog="cdeigen check-density", add_help=False)
+    p = command("check-density", _compute_check_density,
+                "scan a sampled density for CD(K,N) violations")
     p.add_argument("--csv", required=True, metavar="PATH")
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--N", type=float, required=True)
@@ -340,9 +331,9 @@ def _command_parsers() -> dict[str, argparse.ArgumentParser]:
                    help="relative violation tolerance per node")
     p.add_argument("--interval", default=None, help="test subinterval a,b")
     p.add_argument("--interp-dim", dest="interp_dim", type=float, default=2.0)
-    table["check-density"] = p
 
-    p = argparse.ArgumentParser(prog="cdeigen compare", add_help=False)
+    p = command("compare", _compute_compare,
+                "eigenvalue comparison integrals for a density at one point")
     _add_density_source(p)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--N", type=float, required=True)
@@ -352,9 +343,9 @@ def _command_parsers() -> dict[str, argparse.ArgumentParser]:
     p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10)
     p.add_argument("--no-density-check", dest="no_density_check", action="store_true",
                    help="skip the nodal CD test of the input density")
-    table["compare"] = p
 
-    p = argparse.ArgumentParser(prog="cdeigen rigidity", add_help=False)
+    p = command("rigidity", _compute_rigidity,
+                "test whether a density is a multiple of the model weight")
     _add_density_source(p)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--N", type=float, required=True)
@@ -363,23 +354,23 @@ def _command_parsers() -> dict[str, argparse.ArgumentParser]:
     p.add_argument("--solver-tol", dest="solver_tol", type=float, default=1e-8)
     p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10)
     p.add_argument("--no-density-check", dest="no_density_check", action="store_true")
-    table["rigidity"] = p
 
-    p = argparse.ArgumentParser(prog="cdeigen neumann-bound", add_help=False)
+    p = command("neumann-bound", _compute_neumann_bound,
+                "upper bound for the j-th Neumann eigenvalue")
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--N", type=float, required=True)
     p.add_argument("--diam", type=float, required=True, help="diameter of the space")
     p.add_argument("--j", type=int, default=1, help="Neumann mode index")
     p.add_argument("--method", choices=("closed_form", "solver"), default="closed_form")
     p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
-    table["neumann-bound"] = p
 
-    p = argparse.ArgumentParser(prog="cdeigen ess-spectrum", add_help=False)
+    p = command("ess-spectrum", _compute_ess_spectrum,
+                "essential spectrum threshold for K <= 0, N >= 3")
     p.add_argument("--K", type=float, required=True, help="curvature, must be <= 0")
     p.add_argument("--N", type=float, required=True, help="dimension, must be >= 3")
-    table["ess-spectrum"] = p
 
-    p = argparse.ArgumentParser(prog="cdeigen kk-bound", add_help=False)
+    p = command("kk-bound", _compute_kk_bound,
+                "Kaluza-Klein mass bound, optionally optimized over N")
     p.add_argument("--D", type=int, required=True, help="total dimension")
     p.add_argument("--d", type=int, required=True, help="spacetime dimension")
     p.add_argument("--Lambda", type=float, required=True, help="cosmological constant")
@@ -391,41 +382,11 @@ def _command_parsers() -> dict[str, argparse.ArgumentParser]:
     p.add_argument("--golden-tol", dest="golden_tol", type=float, default=1e-6)
     p.add_argument("--profile", action="store_true", help="include the scanned profile")
     p.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
-    table["kk-bound"] = p
 
-    for sub in table.values():
-        _add_common(sub)
-    return table
+    for p in sub.choices.values():
+        _add_common(p)
 
-
-_COMMAND_HELP = {
-    "model-eigen": "first Dirichlet eigenvalue of the (K, N) model weight",
-    "check-density": "scan a sampled density for CD(K,N) violations",
-    "compare": "eigenvalue comparison integrals for a density at one point",
-    "rigidity": "test whether a density is a multiple of the model weight",
-    "neumann-bound": "upper bound for the j-th Neumann eigenvalue",
-    "ess-spectrum": "essential spectrum threshold for K <= 0, N >= 3",
-    "kk-bound": "Kaluza-Klein mass bound, optionally optimized over N",
-}
-
-
-def _top_parser(table: dict[str, argparse.ArgumentParser]) -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="cdeigen",
-        description="Eigenvalue comparison on weighted intervals: model "
-                    "eigenvalues, CD(K,N) density checks, closed-form bounds, "
-                    "and Kaluza-Klein mass bounds.",
-    )
-    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, parser in table.items():
-        sub.add_parser(name, parents=[parser], help=_COMMAND_HELP[name])
-    sweep = sub.add_parser("sweep", help="run one command over a parameter range")
-    _configure_sweep_parser(sweep)
-    return top
-
-
-def _configure_sweep_parser(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("sweep", help="run one command over a parameter range")
     p.add_argument("target", help="command to sweep")
     p.add_argument("--over", required=True, metavar="NAME",
                    help="name of the numeric flag to vary")
@@ -434,6 +395,7 @@ def _configure_sweep_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--workers", type=int, default=4)
     _add_common(p, default_format="csv")
+    return top, sub.choices
 
 
 # ------------------------------------------------------------- config files
@@ -480,17 +442,22 @@ def _read_config_pairs(path: str) -> list[tuple[str, str]]:
 
 def _find_action(parser: argparse.ArgumentParser, key: str):
     for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # -h/--help is neither a config key nor a sweep parameter
         if key == action.dest or f"--{key}" in action.option_strings:
             return action
     return None
 
 
-def _config_flags(pairs: list[tuple[str, str]], parser: argparse.ArgumentParser,
-                  path: str) -> list[str]:
+def _config_flags(parser: argparse.ArgumentParser, path: str | None) -> list[str]:
+    """The flags of config file ``path`` for ``parser``, to go before the
+    command line's own so that explicit flags override them."""
+    if path is None:
+        return []
     flags: list[str] = []
-    for key, value in pairs:
+    for key, value in _read_config_pairs(path):
         action = _find_action(parser, key)
-        if action is None or not action.option_strings:
+        if action is None:
             raise PreconditionError("config", f"{path}: unknown config key {key!r}")
         option = action.option_strings[-1]
         if action.nargs == 0:
@@ -510,21 +477,17 @@ def _config_flags(pairs: list[tuple[str, str]], parser: argparse.ArgumentParser,
 
 # ---------------------------------------------------------------- rendering
 
-def _plain(value):
-    """JSON-safe scalar: non-finite floats become None."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _jsonsafe(obj):
+    """JSON-safe copy: numpy scalars become Python ones, non-finite floats None."""
     if isinstance(obj, dict):
         return {k: _jsonsafe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonsafe(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    return _plain(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _csv_cell(value) -> str:
@@ -575,14 +538,11 @@ def _render_envelope(envelope: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_rows(param: str, columns: list[str], rows: list[dict], fmt: str,
-                 envelope_base: dict) -> str:
-    header = [param] + columns + ["error"]
+def _render_rows(envelope: dict, columns: list[str], fmt: str) -> str:
     if fmt == "json":
-        envelope = dict(envelope_base)
-        envelope["result"] = {"rows": _jsonsafe(rows)}
-        envelope["version"] = __version__
-        return json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+        return json.dumps(_jsonsafe(envelope), indent=2, allow_nan=False) + "\n"
+    rows = envelope["result"]["rows"]
+    header = [envelope["inputs"]["over"]] + columns + ["error"]
     if fmt == "csv":
         if not rows:
             return ""
@@ -603,11 +563,14 @@ def _render_rows(param: str, columns: list[str], rows: list[dict], fmt: str,
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise PreconditionError("io", f"cannot write report file {out}: {exc}")
 
 
 def _print_error(exc: CdeigenError) -> None:
@@ -617,122 +580,86 @@ def _print_error(exc: CdeigenError) -> None:
 
 # ---------------------------------------------------------------- execution
 
-def run_command(config: RunConfig) -> int:
-    """Dispatch a parsed RunConfig and write its report; returns exit status."""
-    compute = _COMPUTE.get(config.command)
-    if compute is None:
-        raise PreconditionError("domain", f"unknown command {config.command!r}")
-    params = SimpleNamespace(**config.params)
-    result, diagnostics = compute(params)
+def _run_single(ns: argparse.Namespace) -> int:
+    inputs = {k: v for k, v in vars(ns).items()
+              if k not in ("command", "compute", "format", "out", "config")}
+    result, diagnostics = ns.compute(ns)
     envelope = {
-        "command": config.command,
-        "inputs": _jsonsafe(config.params),
+        "command": ns.command,
+        "inputs": _jsonsafe(inputs),
         "result": result,
         "diagnostics": diagnostics,
         "version": __version__,
     }
-    _emit(_render_envelope(envelope, config.output_format), config.out)
+    _emit(_render_envelope(envelope, ns.format), ns.out)
     return 0
 
 
-def _namespace_params(ns: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(ns).items() if k not in _META_KEYS}
-
-
-def _run_single(args: list[str]) -> int:
-    table = _command_parsers()
-    if args and args[0] in table:
-        cfg_path, rest = _extract_config(args[1:])
-        if cfg_path is not None:
-            pairs = _read_config_pairs(cfg_path)
-            args = [args[0]] + _config_flags(pairs, table[args[0]], cfg_path) + rest
-    top = _top_parser(table)
-    ns = top.parse_args(args)
-    config = RunConfig(
-        command=ns.command,
-        params=_namespace_params(ns),
-        output_format=ns.format,
-        out=ns.out,
-    )
-    return run_command(config)
-
-
-def _sweep_row(target: str, params: dict) -> tuple[dict | None, str]:
+def _sweep_row(ns: argparse.Namespace) -> tuple[dict, str]:
     try:
-        result, _ = _COMPUTE[target](SimpleNamespace(**params))
-        return result, ""
+        return ns.compute(ns)[0], ""
     except CdeigenError as exc:
-        return None, f"{exc.code}: {exc}"
+        return {}, f"{exc.code}: {exc}"
 
 
-def _run_sweep(args: list[str]) -> int:
-    sweep_parser = argparse.ArgumentParser(prog="cdeigen sweep")
-    _configure_sweep_parser(sweep_parser)
-    ns, passthrough = sweep_parser.parse_known_args(args)
-
-    table = _command_parsers()
-    target = ns.target
-    if target not in table:
+def _run_sweep(ns: argparse.Namespace, passthrough: list[str],
+               commands: dict[str, argparse.ArgumentParser]) -> int:
+    targets = {name: p for name, p in commands.items() if p.get_default("compute")}
+    if ns.target not in targets:
         raise PreconditionError(
-            "domain", f"cannot sweep {target!r}; choose one of {sorted(table)}"
+            "domain", f"cannot sweep {ns.target!r}; choose one of {sorted(targets)}"
         )
-    tparser = table[target]
-
-    cfg_path, passthrough = _extract_config(passthrough)
-    if ns.config is not None:
-        cfg_path = ns.config
-    if cfg_path is not None:
-        pairs = _read_config_pairs(cfg_path)
-        passthrough = _config_flags(pairs, tparser, cfg_path) + passthrough
+    tparser = targets[ns.target]
+    passthrough = _config_flags(tparser, ns.config) + passthrough
 
     action = _find_action(tparser, ns.over)
-    if action is None or not action.option_strings:
-        raise PreconditionError("domain", f"{target} has no flag --{ns.over}")
+    if action is None:
+        raise PreconditionError("domain", f"{ns.target} has no flag --{ns.over}")
     if action.type not in (float, int):
         raise PreconditionError("domain", f"--{ns.over} is not a numeric flag")
     if ns.count < 0:
         raise PreconditionError("domain", f"count must be nonnegative, got {ns.count}")
+    if ns.workers < 1:
+        raise PreconditionError("domain", f"workers must be at least 1, got {ns.workers}")
     option = action.option_strings[-1]
 
-    values = np.linspace(ns.start, ns.stop, ns.count) if ns.count > 0 else np.array([])
-    param_sets = []
-    for v in values:
-        v = int(v) if action.type is int else float(v)
-        row_ns = tparser.parse_args(passthrough + [option, repr(v)])
-        param_sets.append((v, _namespace_params(row_ns)))
+    grid = np.linspace(ns.start, ns.stop, ns.count)
+    if action.type is int and not np.isfinite(grid).all():
+        raise PreconditionError(
+            "domain", f"--{ns.over} takes integers, got start {ns.start}, stop {ns.stop}"
+        )
+    values = [int(v) if action.type is int else float(v) for v in grid]
+    row_args = [tparser.parse_args(passthrough + [option, repr(v)]) for v in values]
+    from concurrent.futures import ThreadPoolExecutor
 
+    with ThreadPoolExecutor(max_workers=min(ns.workers, len(values)) or 1) as pool:
+        outcomes = list(pool.map(_sweep_row, row_args))
     rows: list[dict] = []
     columns: list[str] = []
-    if param_sets:
-        from concurrent.futures import ThreadPoolExecutor
+    for v, (result, err) in zip(values, outcomes):
+        row = {ns.over: v}
+        for k, val in _scalar_items(result):
+            row[k] = val
+            if k not in columns:
+                columns.append(k)
+        row["error"] = err
+        rows.append(row)
 
-        workers = max(1, min(ns.workers, len(param_sets)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_row, target, ps) for _, ps in param_sets]
-            outcomes = [f.result() for f in futures]
-        for (v, _), (result, err) in zip(param_sets, outcomes):
-            row = {ns.over: v}
-            if result is not None:
-                for k, val in _scalar_items(result):
-                    row[k] = val
-                    if k not in columns:
-                        columns.append(k)
-            row["error"] = err
-            rows.append(row)
-
-    base = {
+    envelope = {
         "command": "sweep",
         "inputs": {
-            "target": target,
+            "target": ns.target,
             "over": ns.over,
             "start": ns.start,
             "stop": ns.stop,
             "count": ns.count,
-            "args": list(passthrough),
+            "args": passthrough,
         },
         "diagnostics": {"workers": ns.workers},
+        "result": {"rows": rows},
+        "version": __version__,
     }
-    _emit(_render_rows(ns.over, columns, rows, ns.format, base), ns.out)
+    _emit(_render_rows(envelope, columns, ns.format), ns.out)
     return 0
 
 
@@ -740,9 +667,13 @@ def main(argv=None) -> int:
     """Entry point; returns the process exit status instead of raising."""
     args = list(sys.argv[1:] if argv is None else argv)
     try:
+        top, commands = _build_parser()
         if args and args[0] == "sweep":
-            return _run_sweep(args[1:])
-        return _run_single(args)
+            return _run_sweep(*top.parse_known_args(args), commands)
+        if args and args[0] in commands:
+            path, rest = _extract_config(args[1:])
+            args = args[:1] + _config_flags(commands[args[0]], path) + rest
+        return _run_single(top.parse_args(args))
     except SystemExit as exc:
         code = exc.code
         if code is None:

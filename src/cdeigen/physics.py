@@ -23,7 +23,7 @@ import numpy as np
 import scipy.optimize  # noqa: F401
 import scipy.special  # noqa: F401
 
-from .bounds import closed_form_bound
+from .bounds import closed_form_bound, mode_radius
 from .eigensolve import first_dirichlet_eigen
 from .errors import NonconvergenceError, PreconditionError
 from .modelspace import Density, max_diameter
@@ -80,12 +80,6 @@ def kk_curvature(spec: CompactificationSpec, N: float) -> float:
     )
 
 
-def _mode_radius(spec: CompactificationSpec, j: int) -> float:
-    if not float(j).is_integer() or j < 1:
-        raise PreconditionError("domain", f"mode index j must be a positive integer, got {j}")
-    return spec.diam / (2.0 * j)
-
-
 def kk_mass_bound_at(spec: CompactificationSpec, j: int, N: float,
                      method: str = "solver", solver_tol: float = 1e-8) -> float:
     """Upper bound on m_j^2 at a fixed synthetic dimension N.
@@ -97,7 +91,7 @@ def kk_mass_bound_at(spec: CompactificationSpec, j: int, N: float,
     if method not in ("solver", "closed_form"):
         raise PreconditionError("domain", f"unknown method {method!r}")
     K = kk_curvature(spec, N)
-    r0 = _mode_radius(spec, j)
+    r0 = mode_radius(spec.diam, j)
     if K > 0 and r0 >= max_diameter(K, N):
         raise PreconditionError(
             "infeasible",

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["result"]["threshold"] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("argv", [
+    ["ess-spectrum", "--K", "-1", "--N", "3"],
+    ["sweep", "ess-spectrum", "--over", "K", "--start", "-1", "--stop", "0",
+     "--count", "2", "--N", "3"],
+])
+def test_unwritable_out_is_an_io_error(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing" / "x.json")
+    rc, out, err = run_cli(capsys, *argv, "--out", target)
+    assert rc == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "io" and target in error["message"]
+
+
 def test_check_density_flags_violation(capsys, tmp_path):
     dens = write_model_csv(tmp_path / "low.csv", -3.0, 3.0, right=1.5)
     rc, out, _ = run_cli(capsys, "check-density", "--csv", str(dens),
@@ -307,6 +321,11 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     doc = json.loads(err)
     assert doc["error"]["code"] == "config"
     assert "NN" in doc["error"]["message"]
+    # -h/--help is an option of every command, but no config key
+    cfg.write_text("K=-4\nN=3\nhelp = true\n")
+    rc, out, err = run_cli(capsys, "ess-spectrum", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "config"
 
 
 def test_config_malformed_line_rejected(capsys, tmp_path):
@@ -375,6 +394,55 @@ def test_sweep_validation(capsys):
     assert main(["sweep", "ess-spectrum", "--over", "format", "--start", "0",
                  "--stop", "1", "--count", "2", "--N", "3"]) == 2
     capsys.readouterr()
+    base = ["--start", "0", "--stop", "1", "--count", "2"]
+    for argv in (["ess-spectrum", "--over", "help", *base, "--N", "3"],
+                 ["sweep", "--over", "K", *base],
+                 ["ess-spectrum", "--over", "K", *base, "--N", "3", "--workers", "0"],
+                 ["ess-spectrum", "--over", "K", *base, "--N", "3", "--workers", "-3"],
+                 ["neumann-bound", "--over", "j", "--start", "nan", "--stop", "2",
+                  "--count", "2", "--K", "0", "--N", "3", "--diam", "1"]):
+        rc, out, err = run_cli(capsys, "sweep", *argv)
+        assert rc == 2 and out == "", argv
+        assert json.loads(err)["error"]["code"] == "domain", argv
+
+
+def test_sweep_json_reports_non_finite_inputs_as_null(capsys):
+    rc, out, err = run_cli(capsys, "sweep", "ess-spectrum", "--over", "K",
+                           "--start", "nan", "--stop", "0", "--count", "2",
+                           "--N", "3", "--format", "json")
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["inputs"]["start"] is None
+    first, second = doc["result"]["rows"]
+    assert first["K"] is None and first["error"].startswith("domain")
+    assert second == {"K": 0.0, "threshold": 0.0, "error": ""}
+
+
+def test_command_table(capsys, monkeypatch):
+    # long command names put their help on the next line; a narrow terminal
+    # would wrap the help text itself
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main(["--help"]) == 0
+    listed = dict(re.findall(r"^    (\S+)\s+(.+)$", capsys.readouterr().out, re.M))
+    assert listed == {
+        "model-eigen": "first Dirichlet eigenvalue of the (K, N) model weight",
+        "check-density": "scan a sampled density for CD(K,N) violations",
+        "compare": "eigenvalue comparison integrals for a density at one point",
+        "rigidity": "test whether a density is a multiple of the model weight",
+        "neumann-bound": "upper bound for the j-th Neumann eigenvalue",
+        "ess-spectrum": "essential spectrum threshold for K <= 0, N >= 3",
+        "kk-bound": "Kaluza-Klein mass bound, optionally optimized over N",
+        "sweep": "run one command over a parameter range",
+    }
+    # every command but sweep itself is a sweep target
+    over = {"model-eigen": "r0", "check-density": "K", "compare": "theta",
+            "rigidity": "r0", "neumann-bound": "diam", "ess-spectrum": "K",
+            "kk-bound": "diam"}
+    assert set(over) == set(listed) - {"sweep"}
+    for target, name in over.items():
+        rc, out, err = run_cli(capsys, "sweep", target, "--over", name, "--start", "0",
+                               "--stop", "1", "--count", "0")
+        assert (rc, out, err) == (0, "", ""), target
 
 
 def test_sweep_count_edge_cases(capsys):
