@@ -623,13 +623,18 @@ def _run_sweep(ns: argparse.Namespace, passthrough: list[str],
         raise PreconditionError("domain", f"workers must be at least 1, got {ns.workers}")
     option = action.option_strings[-1]
 
-    grid = np.linspace(ns.start, ns.stop, ns.count)
-    if action.type is int and not np.isfinite(grid).all():
+    # An infinite end leaves no finite points between; a NaN end reaches
+    # the target, which reports it, except as an integer.
+    ends = np.array([ns.start, ns.stop])
+    if np.isinf(ends).any() or (action.type is int and np.isnan(ends).any()):
         raise PreconditionError(
-            "domain", f"--{ns.over} takes integers, got start {ns.start}, stop {ns.stop}"
+            "domain", f"--{ns.over} needs finite ends, got start {ns.start}, stop {ns.stop}"
         )
+    grid = np.linspace(ns.start, ns.stop, ns.count)
+    grid[:1] = ns.start  # a NaN stop would swallow the start
     values = [int(v) if action.type is int else float(v) for v in grid]
-    row_args = [tparser.parse_args(passthrough + [option, repr(v)]) for v in values]
+    # "--K=-1e-05": a separate "-1e-05" would read as an option.
+    row_args = [tparser.parse_args(passthrough + [f"{option}={v!r}"]) for v in values]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(ns.workers, len(values)) or 1) as pool:
@@ -639,6 +644,8 @@ def _run_sweep(ns: argparse.Namespace, passthrough: list[str],
     for v, (result, err) in zip(values, outcomes):
         row = {ns.over: v}
         for k, val in _scalar_items(result):
+            if k == ns.over:
+                continue
             row[k] = val
             if k not in columns:
                 columns.append(k)

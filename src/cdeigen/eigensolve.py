@@ -26,7 +26,7 @@ import bisect as _bisect_mod
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,13 +107,20 @@ def _gk_panel(fh, a, b):
     return res_k, np.maximum(np.abs(res_k - res_g), _GK_ROUNDOFF * np.abs(res_k))
 
 
-def _vanishing_end_grading(h: Density, a: float, b: float) -> np.ndarray:
-    """Breakpoints at every decade 1e-6, 1e-5, ..., 1e-1 of the way from a to
-    b when the weight vanishes at a = 0, where it behaves like a power of
-    theta; none otherwise."""
-    if a == 0.0 and float(h(0.0)) == 0.0:
-        return b * np.logspace(-6.0, -1.0, 6)
-    return np.empty(0)
+def _breaks(h: Density, a: float, b: float) -> np.ndarray:
+    """Sorted points inside (a, b) where integrands against h stop being
+    smooth: every decade 1e-6, 1e-5, ..., 1e-1 of b when the weight vanishes
+    at a = 0, where it behaves like a power of theta, and every sample node
+    of a sampled density, where its interpolant changes slope.  The first
+    mesh, the quadrature's first partition and slope recovery all break
+    there."""
+    # A model weight s_kappa^(N-1) always vanishes at 0; that spares every
+    # solve two scalar evaluations of it.
+    vanishing = a == 0.0 and (h.kind == "model" or float(h(0.0)) == 0.0)
+    pts = b * 10.0 ** np.arange(-6.0, 0.0) if vanishing else np.empty(0)
+    if h.kind == "sampled":
+        pts = np.concatenate((pts, h.grid))
+    return np.unique(pts[(pts > a) & (pts < b)])
 
 
 # First mesh size and bisections of the matrix route; quadrature panel budget.
@@ -126,8 +133,7 @@ def weighted_integral(f, h: Density, a: float, b: float, rel_tol: float = 1e-10)
     """Adaptive quadrature of int_a^b f(theta) h(theta) dtheta.
 
     ``f`` may be a constant or a numpy-vectorizable callable.  The initial
-    partition is graded toward a vanishing left endpoint and includes the
-    sample nodes of sampled densities, so integrands stay smooth per panel;
+    partition breaks at ``_breaks(h, a, b)``, so h stays smooth per panel;
     all its panels are evaluated in one ``_gk_panel`` call.  Refinement then
     runs in rounds.  Each round bisects every panel whose error estimate
     exceeds its equal share rel_tol*|total|/n_panels of the target (the worst
@@ -151,10 +157,7 @@ def weighted_integral(f, h: Density, a: float, b: float, rel_tol: float = 1e-10)
     hv = _vectorized(h)
     fh = lambda x: fv(x) * hv(x)
 
-    breaks = [np.array([a, b]), _vanishing_end_grading(h, a, b)]
-    if h.kind == "sampled":
-        breaks.append(h.grid[(h.grid > a) & (h.grid < b)])
-    pts = np.unique(np.concatenate(breaks))
+    pts = np.concatenate(([a], _breaks(h, a, b), [b]))
     lo, hi = pts[:-1], pts[1:]
     res, err = _gk_panel(fh, lo, hi)
 
@@ -189,22 +192,17 @@ def weighted_integral(f, h: Density, a: float, b: float, rel_tol: float = 1e-10)
 
 # ------------------------------------------------------------------ grids
 
-def _initial_nodes(h: Density, r0: float, extra=()) -> np.ndarray:
-    """``_BASE_NODES`` uniform nodes on [0, r0], joined with the points of
-    ``extra`` and a sampled density's nodes that lie inside (0, r0).
+def _initial_nodes(h: Density, r0: float) -> np.ndarray:
+    """``_BASE_NODES`` uniform nodes on [0, r0], joined with ``_breaks(h, 0,
+    r0)``; a node within 1e-14 r0 of the one before it is dropped.
 
-    Uniform suffices: the first eigenfunction is analytic in theta^2 up to
-    the vanishing-weight end; only the weight is singular there, and
-    per-element quadrature handles it."""
-    include = np.asarray(extra, dtype=float)
-    if h.kind == "sampled":
-        include = np.concatenate((include, h.grid))
-    include = include[(include > 0.0) & (include < r0)]
-    nodes = np.linspace(0.0, r0, _BASE_NODES)
-    if include.size:
-        nodes = np.union1d(nodes, include)
-        nodes = nodes[np.concatenate(([True], np.diff(nodes) > 1e-14 * r0))]
-        nodes[-1] = r0
+    The weight is smooth on every element, and the decades toward a
+    vanishing weight at 0 (h ~ theta^(N-1) there) let the elements' Gauss
+    rules resolve it, so that each level's value is the Rayleigh quotient of
+    a conforming function: an upper bound, non-increasing under bisection."""
+    nodes = np.union1d(np.linspace(0.0, r0, _BASE_NODES), _breaks(h, 0.0, r0))
+    nodes = nodes[np.concatenate(([True], np.diff(nodes) > 1e-14 * r0))]
+    nodes[-1] = r0
     return nodes
 
 
@@ -389,54 +387,42 @@ class EigenSolution:
     flux_residual: float
 
 
-def _poly_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _poly_derivative(x: np.ndarray, y: np.ndarray, breaks) -> np.ndarray:
     """Slope at each node of the polynomial of degree <= 4 through its 5
-    nearest nodes (all n when n < 5; windows clipped at the ends): a Newton
-    divided-difference table over all nodes at once, then p' by Horner."""
+    nearest nodes within its stretch between two ``breaks``: a Newton
+    divided-difference table over all nodes at once, then p' by Horner.
+
+    Windows are clipped to the stretch (to all of it when it has fewer than
+    5 nodes), and a node on a break, or within 1e-14 (x[-1] - x[0]) before
+    it, takes its right-hand stretch, so slopes are one-sided there.  A
+    short window is the head of min(5, n) distinct nodes (the next ones, or
+    the last ones before it at the end of x); the Newton coefficients past
+    its length are dropped, which leaves its own interpolant.
+    """
     n = x.size
     win = min(5, n)
-    start = np.clip(np.arange(n) - win // 2, 0, n - win)
-    xs = [x[start + k] for k in range(win)]
-    c = [y[start + k] for k in range(win)]
+    # A break that _initial_nodes merged into the node before it cuts there.
+    cuts = np.searchsorted(x, np.asarray(breaks) - 1e-14 * (x[-1] - x[0]))
+    edges = np.unique(np.concatenate(([0], cuts[(cuts > 1) & (cuts < n - 1)], [n - 1])))
+    i = np.arange(n)
+    seg = np.minimum(np.searchsorted(edges, i, side="right") - 1, edges.size - 2)
+    lo, hi = edges[seg], edges[seg + 1]
+    size = np.minimum(win, hi - lo + 1)
+    start = np.clip(i - win // 2, lo, hi - size + 1)
+    rows = np.arange(win)[:, None]
+    idx = start + rows
+    idx[idx >= n] -= win
+    xs, c = x[idx], y[idx]
     for j in range(1, win):
         for k in range(win - 1, j - 1, -1):
             c[k] = (c[k] - c[k - 1]) / (xs[k] - xs[k - j])
+    c[rows >= size] = 0.0
     p, dp = c[-1], np.zeros(n)
     for k in range(win - 2, -1, -1):
         t = x - xs[k]
         dp = dp * t + p
         p = p * t + c[k]
     return dp
-
-
-def _slope_kinks(h: Density):
-    """Sample nodes where the interpolated weight changes slope abruptly.
-
-    phi' is only piecewise smooth across such nodes (the flux h phi' is the
-    continuous quantity), so derivative recovery must not fit across them.
-    """
-    if h.kind != "sampled":
-        return []
-    s = np.diff(h.g_values) / np.diff(h.grid)
-    jump = np.abs(np.diff(s))
-    scale = np.maximum(np.abs(s[:-1]), np.abs(s[1:]))
-    mask = jump > 0.2 * np.maximum(scale, 1e-300)
-    return [float(t) for t, m in zip(h.grid[1:-1], mask) if m]
-
-
-def _piecewise_derivative(x: np.ndarray, y: np.ndarray, breaks) -> np.ndarray:
-    """_poly_derivative applied separately between the given break abscissae.
-
-    Break points falling on grid nodes produce one-sided derivatives there
-    (the right-sided one wins for the shared node).
-    """
-    cuts = sorted({int(np.searchsorted(x, b)) for b in breaks})
-    cuts = [c for c in cuts if 1 < c < x.size - 1]
-    out = np.empty_like(y)
-    edges = [0] + cuts + [x.size - 1]
-    for a, b in zip(edges[:-1], edges[1:]):
-        out[a:b + 1] = _poly_derivative(x[a:b + 1], y[a:b + 1])
-    return out
 
 
 def _cubic_hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray):
@@ -499,11 +485,12 @@ def flux_identity_residual(sol: EigenSolution, h: Density) -> float:
 
 def _eigen_solution(h, nodes, lam, phi, method, history, dphi=None) -> EigenSolution:
     """Scale phi to sup-norm 1, clip it at 0, recover dphi from it by divided
-    differences (or scale a given dphi alike); attach the flux residual."""
+    differences within the stretches between ``_breaks`` (or scale a given
+    dphi alike); attach the flux residual."""
     top = float(np.max(np.abs(phi)))
     phi = np.maximum(phi / top, 0.0)
     if dphi is None:
-        dphi = _piecewise_derivative(nodes, phi, _slope_kinks(h))
+        dphi = _poly_derivative(nodes, phi, _breaks(h, 0.0, nodes[-1]))
     else:
         dphi = dphi / top
     sol = EigenSolution(
@@ -523,7 +510,8 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
                           method: str = "matrix") -> EigenSolution:
     """Smallest Dirichlet eigenvalue of the weight h on [0, r0].
 
-    The matrix route bisects the first mesh (``_initial_nodes``) up to
+    The matrix route bisects the first mesh (``_initial_nodes``: uniform,
+    graded toward a vanishing weight at 0, every sample node a node) up to
     ``_MAX_REFINEMENTS`` times.  From the second level on, each level's
     estimate is Richardson-extrapolated, ex_k = lambda_k + (lambda_k -
     lambda_{k-1})/3, and the route stops once two successive extrapolated
@@ -534,10 +522,10 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     Each level runs inverse iteration from a certified shift (see
     ``_smallest_eigenpair``), started from the previous level's eigenvector.
     The shooting route runs the matrix route at tol 1e-6, hands the bracket
-    (0.9, 1.1) times that estimate to ``shoot_eigen``, integrates once more
-    at the root to take phi and phi' from LSODA's own interpolant at the
-    nodes of the first mesh, graded toward a vanishing weight at 0, and
-    applies the same 100*tol flux gate.  On model densities
+    (1 - 1e-3, 1 + 1e-3) times that converged estimate to ``shoot_eigen``,
+    integrates once more at the root with the same integrator to take phi
+    and phi' from LSODA's own interpolant at the nodes of the first mesh,
+    and applies the same 100*tol flux gate.  On model densities
     it agrees with the matrix route for K in [-5, 2], N in [1.05, 30] and r0
     up to min(2.5, 0.9 * diameter).  It fails as N -> 2+ on the default
     kk-bound curve (``flux`` or ``bracket``) and from N = 55 on
@@ -648,22 +636,16 @@ def _log_derivative(h: Density):
     return dlog
 
 
-@lru_cache(maxsize=1)
-def _shooting_start(h: Density, r0: float):
-    """Start point eps0 = 1e-6 r0 of the shooting ODE, the mass m([0, eps0])
-    and h(eps0).  A shooting solve needs them in ``shoot_eigen`` and again
-    for its eigenfunction pass; one cached entry, keyed by the density's
-    identity, runs the quadrature once."""
+def _shooting_machinery(h: Density, r0: float):
+    """Start point eps0 = 1e-6 r0 of the shooting ODE and the integrator
+    from it.  The mass m([0, eps0]) and h(eps0) that set the start slope are
+    computed once here; a shooting solve shares the integrator between its
+    root search and its eigenfunction pass."""
     eps0 = r0 * 1e-6
     mass0 = weighted_integral(1.0, h, 0.0, eps0, rel_tol=1e-10)
     heps = float(h(eps0))
     if not heps > 0:
         raise PreconditionError("domain", "density vanishes at the shooting start point")
-    return eps0, mass0, heps
-
-
-def _shooting_machinery(h: Density, r0: float):
-    eps0, mass0, heps = _shooting_start(h, r0)
     dlog = _log_derivative(h)
 
     def integrate(lam, t_eval=None):
@@ -696,7 +678,7 @@ def _shooting_machinery(h: Density, r0: float):
     return eps0, integrate
 
 
-def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
+def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8, *, integrate=None) -> float:
     """Shooting eigenvalue: root of lambda -> phi(r0) inside ``bracket``.
 
     phi'' + (log h)' phi' + lambda phi = 0 is integrated from eps0 = 1e-6 r0
@@ -707,6 +689,8 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
     trial lambda is integrated once.  Raises ``bracket`` when phi(r0) has
     one sign at both ends, ``stiffness`` when LSODA fails or ends at a
     non-finite state, and ``shooting`` when |phi(r0)| stays above 100*tol.
+    ``integrate`` is the integrator of ``_shooting_machinery(h, r0)``, built
+    here unless a shooting solve passes the one it reuses afterwards.
     """
     _validate_problem(h, r0)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -717,7 +701,8 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
 
     from scipy.optimize import brentq
 
-    _, integrate = _shooting_machinery(h, r0)
+    if integrate is None:
+        _, integrate = _shooting_machinery(h, r0)
 
     # brentq evaluates both bracket ends again and returns a point it has
     # evaluated, so the cache integrates each trial lambda once.
@@ -740,12 +725,11 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8) -> float:
 
 def _shooting_solution(h: Density, r0: float, tol: float) -> EigenSolution:
     est = first_dirichlet_eigen(h, r0, tol=1e-6, method="matrix").eigenvalue
-    lam = shoot_eigen(h, r0, (0.9 * est, 1.1 * est), tol)
-
     eps0, integrate = _shooting_machinery(h, r0)
-    # The grading keeps the flux check's cumulative integral of phi h
-    # accurate where h vanishes like a power of theta.
-    nodes = _initial_nodes(h, r0, _vanishing_end_grading(h, 0.0, r0))
+    lam = shoot_eigen(h, r0, ((1.0 - 1e-3) * est, (1.0 + 1e-3) * est), tol,
+                      integrate=integrate)
+
+    nodes = _initial_nodes(h, r0)
     inside = nodes >= eps0
     vals = integrate(lam, nodes[inside]).y
     # Below the start point phi is flat to O(eps^2); pin the natural boundary.

@@ -457,3 +457,45 @@ def test_sweep_count_edge_cases(capsys):
                          "--N", "3")
     assert rc == 2
     assert json.loads(err)["error"]["code"] == "domain"
+
+
+def test_sweep_reaches_a_negative_start_in_exponent_form(capsys):
+    # repr(-1e-05) is "-1e-05", which argparse would read as an option
+    rc, out, err = run_cli(capsys, "sweep", "ess-spectrum", "--over", "K",
+                           "--start=-0.00001", "--stop", "0", "--count", "2", "--N", "4")
+    assert (rc, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [float(r[0]) for r in rows] == [-1e-05, 0.0]
+    assert all(r[2] == "" for r in rows)
+
+
+def test_sweep_header_names_the_swept_key_once(capsys):
+    rc, out, _ = run_cli(capsys, "sweep", "neumann-bound", "--over", "j", "--start", "1",
+                         "--stop", "2", "--count", "2", "--K", "0", "--N", "3", "--diam", "1")
+    assert rc == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "j,bound,r0,error"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("over, ends", [("K", ("-1", "inf")), ("K", ("-inf", "0")),
+                                        ("diam", ("1", "inf"))])
+def test_sweep_rejects_an_infinite_end(capsys, over, ends):
+    # linspace toward an infinite end gives nan, inf, inf: no finite value
+    # would be reached, so the sweep is a domain error before any row runs
+    target = "ess-spectrum" if over == "K" else "neumann-bound"
+    rest = ["--N", "3"] if over == "K" else ["--K", "0", "--N", "3"]
+    rc, out, err = run_cli(capsys, "sweep", target, "--over", over, f"--start={ends[0]}",
+                           "--stop", ends[1], "--count", "3", *rest)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "domain"
+
+
+def test_sweep_reaches_the_start_before_a_nan_stop(capsys):
+    rc, out, err = run_cli(capsys, "sweep", "ess-spectrum", "--over", "K", "--start", "-4",
+                           "--stop", "nan", "--count", "2", "--N", "4", "--format", "json")
+    assert (rc, err) == (0, "")
+    first, second = json.loads(out)["result"]["rows"]
+    assert first == {"K": -4.0, "threshold": 3.0, "error": ""}
+    assert second["K"] is None and second["error"].startswith("domain")

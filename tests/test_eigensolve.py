@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cdeigen import eigensolve
-from cdeigen.bounds import closed_form_bound
+from cdeigen.bounds import bessel_first_zero, closed_form_bound
 from cdeigen.eigensolve import (
     EigenSolution,
     assemble_weighted_problem,
@@ -179,24 +179,31 @@ def test_weighted_integral_split_stays_within_panel_budget(monkeypatch):
 
 
 def test_gridspec_uniform_and_geometric(monkeypatch):
-    # the initial mesh is _BASE_NODES uniform nodes on [0, r0]
+    # the initial mesh is _BASE_NODES uniform nodes on [0, r0], joined with
+    # the decades 1e-6 ... 1e-1 of r0 when the weight vanishes at 0
     monkeypatch.setattr(eigensolve, "_BASE_NODES", 33)
-    u = eigensolve._initial_nodes(Density.model(0.0, 3.0), 2.0)
+    u = eigensolve._initial_nodes(Density.sampled([0.0, 2.0, 3.0], [1.0, 1.0, 1.0]), 2.0)
     assert u.size == 33 and u[0] == 0.0 and u[-1] == 2.0
     assert np.allclose(np.diff(u), 2.0 / 32)
+    g = eigensolve._initial_nodes(Density.model(0.0, 3.0), 2.0)
+    decades = 2.0 * np.logspace(-6.0, -1.0, 6)
+    assert g.tolist() == np.union1d(u, decades).tolist()
 
 
 def test_gridspec_include_points(monkeypatch):
-    # extra points and a sampled density's nodes join inside (0, r0) only,
-    # and a sample node within 1e-14 r0 of a uniform node is not doubled
+    # a sampled density's nodes join inside (0, r0) only, and a sample node
+    # within 1e-14 r0 of a uniform node is not doubled
     monkeypatch.setattr(eigensolve, "_BASE_NODES", 16)
-    h = Density.sampled([0.0, 0.2 + 1e-16, 0.5, 1.2, 1.5], [1.0, 1.0, 2.0, 1.0, 1.0])
-    n = eigensolve._initial_nodes(h, 1.0, extra=(0.33, 0.77, 1.0, 5.0))
+    h = Density.sampled([0.0, 0.2 + 1e-16, 0.33, 0.5, 0.77, 1.0, 1.2, 1.5],
+                        [1.0, 1.0, 1.5, 2.0, 1.5, 1.0, 1.0, 1.0])
+    n = eigensolve._initial_nodes(h, 1.0)
     assert n[0] == 0.0 and n[-1] == 1.0
     assert 0.33 in n and 0.77 in n and 0.5 in n
-    assert 5.0 not in n and 1.2 not in n
+    assert 1.2 not in n and 1.5 not in n
     assert np.all(np.diff(n) > 0)
     assert n.size == 16 + 3
+    # the quadrature's first partition breaks at the same points
+    assert eigensolve._breaks(h, 0.0, 1.0).tolist() == [0.2 + 1e-16, 0.33, 0.5, 0.77]
 
 
 def test_assembly_matches_hat_function_quadrature():
@@ -257,7 +264,9 @@ def test_explicit_grid_validation():
 def _dense_smallest_eigenvalue(prob):
     A = np.diag(prob.stiff_diag) + np.diag(prob.stiff_off, 1) + np.diag(prob.stiff_off, -1)
     B = np.diag(prob.mass_diag) + np.diag(prob.mass_off, 1) + np.diag(prob.mass_off, -1)
-    return scipy.linalg.eigh(A, B, eigvals_only=True, subset_by_index=(0, 0))[0]
+    # the full divide-and-conquer solve: on graded meshes the mass diagonal
+    # spans ten decades or more, and the subset driver gvx loses up to 1e-4
+    return scipy.linalg.eigh(A, B, eigvals_only=True, driver="gvd")[0]
 
 
 def test_inverse_iteration_matches_dense_eigh(monkeypatch):
@@ -395,6 +404,27 @@ def test_refinement_history_is_monotone_upper_bounds(monkeypatch):
     assert sol.eigenvalue <= hist[-1]
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(K=st.floats(-5.0, 2.0), N=st.floats(1.05, 30.0), u=st.floats(0.05, 1.0))
+def test_raw_levels_never_rise(K, N, u):
+    # nested conforming meshes give non-increasing Rayleigh quotients; near
+    # N = 1 that holds only once the first mesh is graded toward the
+    # theta^(N-1) end, where the elements' Gauss rules would miss it
+    r0 = u * min(2.5, 0.9 * max_diameter(K, N))
+    hist = np.asarray(first_dirichlet_eigen(Density.model(K, N), r0).refinement_history)
+    assert np.all(np.diff(hist) <= 1e-13 * hist[1:]), (K, N, r0, hist)
+
+
+def test_model_near_N_1_is_an_upper_bound_within_five_levels():
+    # h = theta^0.05: every raw level is the Rayleigh quotient of a
+    # conforming function, so it lies above j_{N/2-1,1}^2
+    sol = first_dirichlet_eigen(Density.model(0.0, 1.05), 1.0)
+    exact = bessel_first_zero(1.05 / 2.0 - 1.0) ** 2
+    assert len(sol.refinement_history) <= 5
+    assert min(sol.refinement_history) >= exact
+    assert sol.eigenvalue == pytest.approx(exact, rel=1e-8)
+
+
 @settings(derandomize=True, max_examples=12, deadline=None)
 @given(K=st.floats(-4.0, 2.0), N=st.floats(1.5, 8.0),
        frac=st.floats(0.1, 0.9), stretch=st.floats(1.05, 1.5))
@@ -527,15 +557,13 @@ def test_shooting_raises_stiffness_when_lsoda_fails(monkeypatch):
 
 
 def test_shooting_start_cache_under_threads(monkeypatch):
-    # one cached start state is shared by every thread; interleaved solves
-    # of densities with different start masses must each start from their
-    # own phi'(eps0) / lambda = -m([0, eps0]) / h(eps0)
+    # interleaved solves of densities with different start masses must each
+    # start from their own phi'(eps0) / lambda = -m([0, eps0]) / h(eps0)
     cases = [Density.model(0.0, N) for N in (2.5, 4.0, 6.0, 9.0)]
     matrix = [first_dirichlet_eigen(h, 1.0).eigenvalue for h in cases]
     expected = []
     for h in cases:
-        _, mass0, heps = eigensolve._shooting_start.__wrapped__(h, 1.0)
-        expected.append(-mass0 / heps)
+        expected.append(-weighted_integral(1.0, h, 0.0, 1e-6) / float(h(1e-6)))
     local = threading.local()
     slopes = [[] for _ in cases]
     results = [[] for _ in cases]
@@ -598,9 +626,17 @@ def test_sampled_density_with_kink():
     assert a == pytest.approx(b, rel=1e-6)
 
 
+def test_smooth_sampled_density_passes_the_flux_gate():
+    # phi' kinks at every sample node where the interpolated weight changes
+    # slope, however little; slope recovery must break at all of them
+    grid = np.linspace(0.0, 2.0, 201)
+    h = Density.sampled(grid, (grid * (1.5 + np.sin(3.0 * grid))) ** 2, interp_dim=3.0)
+    sol = first_dirichlet_eigen(h, 1.5)
+    assert sol.flux_residual <= 100.0 * 1e-8
+
+
 def _graded_nodes():
-    h = Density.model(0.0, 3.0)
-    return eigensolve._initial_nodes(h, 1.0, eigensolve._vanishing_end_grading(h, 0.0, 1.0))
+    return eigensolve._initial_nodes(Density.model(0.0, 3.0), 1.0)
 
 
 def _stencil_rounding(x, y):
@@ -640,7 +676,7 @@ def test_poly_derivative_is_exact_on_polynomials(mesh, n):
         y = p(x)
         big = float(np.max(np.abs(x)))
         dscale = sum(k * abs(c) * big ** (k - 1) for k, c in enumerate(p.coef) if k)
-        err = np.abs(eigensolve._poly_derivative(x, y) - p.deriv()(x))
+        err = np.abs(eigensolve._poly_derivative(x, y, []) - p.deriv()(x))
         allowed = 1e-10 * dscale + 8.0 * np.finfo(float).eps * _stencil_rounding(x, y)
         assert np.all(err <= allowed), (mesh, x.size, np.max(err / allowed))
 
@@ -650,9 +686,25 @@ def test_piecewise_derivative_is_one_sided_at_a_break():
     # stop at the break, and the shared node takes the right-hand slope
     x = np.linspace(0.0, 1.0, 11)
     y = np.where(x < 0.5, 2.0 * x, 1.0 - 3.0 * (x - 0.5))
-    dy = eigensolve._piecewise_derivative(x, y, [0.5])
+    dy = eigensolve._poly_derivative(x, y, [0.5])
     expect = np.where(x < 0.5, 2.0, -3.0)
     assert np.max(np.abs(dy - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("cuts", [[], [3], [2, 9], [2, 4, 5, 12, 14, 16], [7, 8, 9]])
+def test_poly_derivative_matches_its_stretches(cuts):
+    # one pass over all nodes gives, bit for bit, the slopes of each stretch
+    # between breaks taken alone (short stretches included): each node on a
+    # break takes its right-hand stretch
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.0, 2.0, 19))
+    y = np.cos(3.0 * x) + x ** 3
+    dy = eigensolve._poly_derivative(x, y, x[cuts])
+    edges = [0] + cuts + [x.size - 1]
+    for a, b in zip(edges[:-1], edges[1:]):
+        alone = eigensolve._poly_derivative(x[a:b + 1], y[a:b + 1], [])
+        stop = b + 1 if b == x.size - 1 else b
+        assert dy[a:stop].tolist() == alone[:stop - a].tolist(), (a, b)
 
 
 def test_solves_recover_slopes_without_a_dense_linear_solve(monkeypatch):
@@ -667,7 +719,8 @@ def test_solves_recover_slopes_without_a_dense_linear_solve(monkeypatch):
     assert first_dirichlet_eigen(h, 1.0, method="shooting").flux_residual <= 1e-6
     kinked = Density.sampled([0.0, 0.3, 0.31, 1.0, 1.5], [0.2, 0.9, 2.5, 2.0, 1.4],
                              interp_dim=2.0)
-    assert eigensolve._slope_kinks(kinked)
+    # every interior sample node is a break of the slope recovery
+    assert eigensolve._breaks(kinked, 0.0, 1.5).tolist() == [0.3, 0.31, 1.0]
     assert first_dirichlet_eigen(kinked, 1.5).flux_residual <= 1e-6
 
 
