@@ -1,49 +1,37 @@
 """Closed-form eigenvalue bounds and first Bessel zeros.
 
-J_nu and its derivative come from ``scipy.special``, imported on the first
-cache miss, so a bound that needs no Bessel zero loads no scipy.  The first
-zero j_{nu,1} lies in (max(nu, 0), sqrt(2(nu+1)(nu+3))).  For nu <= 10 it is
-located by Brent root finding on that bracket; for larger orders by Newton
-iteration from an Airy-type starting guess, with capped steps and a final
-bracket check.  Both meet the 1e-12 relative-accuracy contract of
-``bessel_first_zero``.
+J_nu comes from ``scipy.special``, imported on the first cache miss, and
+numpy only with ``modelspace``, on the first bound that needs the model
+geometry.  The first zero j_{nu,1} lies in (max(nu, 0), sqrt(2(nu+1)(nu+3)))
+and is found by Halley iteration, with J_nu' = J_{nu-1} - (nu/x) J_nu and
+J_nu'' from Bessel's equation: two evaluations of J a step.  It starts from
+an Airy-type expansion for nu > 10, otherwise at 0.42 of the way from the
+lower bound sqrt((nu+1)(nu+5)) to the upper one.  At most four steps meet
+the 1e-12 relative contract of ``bessel_first_zero`` for orders in
+(-1, 1e5]; the result is checked against the bracket.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
-import numpy as np
-
-from .errors import NonconvergenceError, PreconditionError
-from .modelspace import max_diameter, require_finite, s_kappa
+from .errors import NonconvergenceError, PreconditionError, require_finite
 
 # First-zero expansion in powers of nu^(-1/3); classical large-order result,
 # already accurate to ~1e-4 relative at nu = 10.
 _AIRY_COEFFS = (1.8557571, 1.033150, -0.00397, -0.0908, 0.043)
 
 
-def _zero_large_order(nu: float) -> float:
-    from scipy.special import jv, jvp
+@cache
+def _modelspace():
+    """``cdeigen.modelspace``, imported on first use: it loads numpy, which
+    the Bessel zeros and the essential-spectrum threshold do not need.  The
+    cache keeps an import statement off each closed-form bound."""
+    from . import modelspace
 
-    c = nu ** (1.0 / 3.0)
-    t = _AIRY_COEFFS
-    x = nu + t[0] * c + t[1] / c + t[2] / nu + t[3] / (nu * c) + t[4] / (nu * nu / c)
-    cap = 2.0 * c
-    for _ in range(60):
-        dx = jv(nu, x) / jvp(nu, x)
-        if not math.isfinite(dx):
-            raise NonconvergenceError("newton", f"first-zero Newton broke down at nu={nu}")
-        dx = max(-cap, min(cap, dx))
-        x -= dx
-        if abs(dx) <= 1e-13 * x:
-            if not nu < x < math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0)):
-                raise NonconvergenceError(
-                    "newton", f"first-zero Newton left its bracket at nu={nu}")
-            return float(x)
-    raise NonconvergenceError("newton", f"first-zero Newton iteration stalled at nu={nu}")
+    return modelspace
 
 
 @lru_cache(maxsize=16384)
@@ -52,24 +40,29 @@ def bessel_first_zero(nu: float) -> float:
     nu = float(nu)
     if not nu > -1.0:
         raise PreconditionError("domain", f"order must exceed -1, got {nu}")
-    if nu > 10.0:
-        return _zero_large_order(nu)
-    from scipy.optimize import brentq
     from scipy.special import jv
 
     hi = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
-    lo = nu if nu >= 0.5 else 1e-3 * hi
-    f = lambda x: jv(nu, x)
-    f_hi = f(hi)
-    tries = 0
-    while f_hi > 0 and tries < 4:
-        hi *= 1.25
-        f_hi = f(hi)
-        tries += 1
-    if f_hi > 0:
-        raise PreconditionError("bracket", f"no sign change of J_nu below {hi} for nu={nu}")
-    # xtol scales with the bracket because j_{nu,1} -> 0 as nu -> -1.
-    return float(brentq(f, lo, hi, xtol=1e-15 * hi, rtol=4.0 * np.finfo(float).eps))
+    if nu > 10.0:
+        c = nu ** (1.0 / 3.0)
+        t = _AIRY_COEFFS
+        x = nu + t[0] * c + t[1] / c + t[2] / nu + t[3] / (nu * c) + t[4] / (nu * nu / c)
+    else:
+        lo = math.sqrt((nu + 1.0) * (nu + 5.0))
+        x = lo + 0.42 * (hi - lo)
+    for _ in range(8):  # a NaN step never passes the test below: it stalls
+        j = jv(nu, x)
+        dj = jv(nu - 1.0, x) - nu / x * j
+        d2j = -dj / x - (1.0 - (nu / x) ** 2) * j
+        dx = j / dj / (1.0 - j * d2j / (2.0 * dj * dj))
+        x -= dx
+        if abs(dx) <= 1e-13 * x:
+            # As nu -> -1 the zero approaches the upper bound to within rounding.
+            if not max(nu, 0.0) < x < hi * (1.0 + 1e-12):
+                raise NonconvergenceError(
+                    "newton", f"first-zero Halley iteration left its bracket at nu={nu}")
+            return float(x)
+    raise NonconvergenceError("newton", f"first-zero Halley iteration stalled at nu={nu}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ def closed_form_bound(K: float, N: float, r0: float) -> BoundValue:
     Dispatch: K=0 gives the exact Bessel identity j_{N/2-1,1}^2 / r0^2; N=3
     gives the exact -K/2 + pi^2/r0^2; otherwise the N<3 or N>3 upper bound.
     """
-    d = max_diameter(K, N)
+    d = _modelspace().max_diameter(K, N)
     if not (r0 > 0 and math.isfinite(r0)):
         raise PreconditionError("domain", f"r0 must be positive and finite, got {r0}")
     if r0 >= d:
@@ -100,8 +93,12 @@ def closed_form_bound(K: float, N: float, r0: float) -> BoundValue:
     j = bessel_first_zero(N / 2.0 - 1.0)
     if N < 3.0:
         return BoundValue(-N * K / 6.0 + j * j / r0**2, False, "upper_n_lt_3")
-    s = s_kappa(K / (N - 1.0), r0)
-    extra = (N - 1.0) * (N - 3.0) / 4.0 * (1.0 / s**2 - 1.0 / r0**2)
+    # Where sinh overflows (sqrt(-kappa) r0 > 710.47), r0^2/s^2 is below 1e-300;
+    # where s**2 does (s > 1.3e154), 1/s^2 is below 1e-308.  Both take 1/s^2 = 0.
+    kappa = K / (N - 1.0)
+    s = _modelspace().s_kappa(kappa, r0) if kappa * r0 * r0 > -710.0**2 else math.inf
+    inv_s2 = 1.0 / s**2 if s < 1e154 else 0.0
+    extra = (N - 1.0) * (N - 3.0) / 4.0 * (inv_s2 - 1.0 / r0**2)
     return BoundValue(-(N - 1.0) * K / 4.0 + j * j / r0**2 + extra, False, "upper_n_gt_3")
 
 
@@ -122,7 +119,7 @@ def neumann_upper_bound(K: float, N: float, diam: float, j: int,
     if not (diam > 0 and math.isfinite(diam)):
         raise PreconditionError("hypothesis", f"diameter must be positive and finite, got {diam}")
     r0 = mode_radius(diam, j)
-    d = max_diameter(K, N)
+    d = _modelspace().max_diameter(K, N)
     if diam > d * (1.0 + 1e-12):
         raise PreconditionError(
             "hypothesis", f"diameter {diam} exceeds the bound {d} forced by K = {K} > 0")

@@ -17,10 +17,9 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import __version__
 from .errors import CdeigenError, NonconvergenceError, PreconditionError
@@ -294,13 +293,21 @@ def _add_density_source(p: argparse.ArgumentParser) -> None:
                    help="interpolation exponent parameter for sampled densities")
 
 
+class _Parser(argparse.ArgumentParser):
+    # "--K -2.5e-3" or "--K -inf": Python before 3.13 reads only "-1" and
+    # "-0.5" as values.  No option of this CLI starts with "-" and a digit.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The ``cdeigen`` parser and its subcommand parsers by name.
 
     Each command that computes a report carries its compute function as the
     parser default ``compute``; ``sweep`` has none.
     """
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="cdeigen",
         description="Eigenvalue comparison on weighted intervals: model "
                     "eigenvalues, CD(K,N) density checks, closed-form bounds, "
@@ -483,7 +490,8 @@ def _jsonsafe(obj):
         return {k: _jsonsafe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonsafe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    # A numpy scalar exists only once some command has loaded numpy.
+    if "numpy" in sys.modules and isinstance(obj, sys.modules["numpy"].generic):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
@@ -623,6 +631,8 @@ def _run_sweep(ns: argparse.Namespace, passthrough: list[str],
         raise PreconditionError("domain", f"workers must be at least 1, got {ns.workers}")
     option = action.option_strings[-1]
 
+    import numpy as np
+
     # An infinite end leaves no finite points between; a NaN end reaches
     # the target, which reports it, except as an integer.
     ends = np.array([ns.start, ns.stop])
@@ -633,8 +643,7 @@ def _run_sweep(ns: argparse.Namespace, passthrough: list[str],
     grid = np.linspace(ns.start, ns.stop, ns.count)
     grid[:1] = ns.start  # a NaN stop would swallow the start
     values = [int(v) if action.type is int else float(v) for v in grid]
-    # "--K=-1e-05": a separate "-1e-05" would read as an option.
-    row_args = [tparser.parse_args(passthrough + [f"{option}={v!r}"]) for v in values]
+    row_args = [tparser.parse_args(passthrough + [option, repr(v)]) for v in values]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(ns.workers, len(values)) or 1) as pool:

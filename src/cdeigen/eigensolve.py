@@ -529,7 +529,9 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     it agrees with the matrix route for K in [-5, 2], N in [1.05, 30] and r0
     up to min(2.5, 0.9 * diameter).  It fails as N -> 2+ on the default
     kk-bound curve (``flux`` or ``bracket``) and from N = 55 on
-    (``domain``: h(1e-6 r0) underflows to 0).
+    (``domain``: h(1e-6 r0) underflows to 0).  A weight whose values or
+    matrix entries overflow double precision on [0, r0] raises ``domain``;
+    for a model weight the message names K, N and r0.
     """
     _validate_problem(h, r0)
     if not (1e-12 < tol < 1e-3):
@@ -539,7 +541,19 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
 
     if method == "shooting":
         return _shooting_solution(h, r0, tol)
+    # lambda is blind to a constant factor in h, but the assembly is not: a
+    # weight past the double range is a domain error, not an inf or NaN that
+    # fails in LAPACK.
+    try:
+        with np.errstate(over="raise"):
+            return _matrix_solution(h, r0, tol)
+    except FloatingPointError:
+        what = f"the model weight with K = {h.K}, N = {h.N}" if h.kind == "model" else "h"
+        raise PreconditionError(
+            "domain", f"{what} overflows double precision on [0, r0] with r0 = {r0}") from None
 
+
+def _matrix_solution(h: Density, r0: float, tol: float) -> EigenSolution:
     nodes = _initial_nodes(h, r0)
     start = 1.0 - (nodes[:-1] / r0) ** 2
     history: list[float] = []

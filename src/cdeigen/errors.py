@@ -7,6 +7,8 @@ and structured error reports without string matching.
 
 from __future__ import annotations
 
+import math
+
 
 class CdeigenError(Exception):
     """Base class for all errors raised by this package."""
@@ -25,3 +27,10 @@ class PreconditionError(CdeigenError):
 class NonconvergenceError(CdeigenError):
     """An iterative numerical procedure exhausted its budget without
     reaching the requested tolerance.  Maps to exit code 3."""
+
+
+def require_finite(**params: float) -> None:
+    """Raise a ``domain`` error naming the first parameter that is NaN or infinite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise PreconditionError("domain", f"{name} must be finite, got {value}")

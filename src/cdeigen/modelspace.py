@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_finite
 
 # Below this value of |kappa| * theta^2 the closed trig/hyperbolic forms are
 # replaced by their common Taylor expansion; keeps evaluation continuous
@@ -57,13 +57,6 @@ def s_kappa(kappa: float, theta):
             rk = math.sqrt(-kappa)
             out[big] = np.sinh(rk * th[big]) / rk
     return float(out[0]) if scalar else out
-
-
-def require_finite(**params: float) -> None:
-    """Raise a ``domain`` error naming the first parameter that is NaN or infinite."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise PreconditionError("domain", f"{name} must be finite, got {value}")
 
 
 def max_diameter(K: float, N: float) -> float:

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 # Every closed-form N-scan needs Bessel zeros, which ``bounds`` computes with
-# scipy.special and scipy.optimize; load them with this module rather than
-# inside the first scan that misses the Bessel-zero cache.
-import scipy.optimize  # noqa: F401
+# scipy.special alone; load it with this module rather than inside the first
+# scan that misses the Bessel-zero cache.
 import scipy.special  # noqa: F401
 
 from .bounds import closed_form_bound, mode_radius
-from .eigensolve import first_dirichlet_eigen
 from .errors import NonconvergenceError, PreconditionError
 from .modelspace import Density, max_diameter
 
@@ -99,6 +97,8 @@ def kk_mass_bound_at(spec: CompactificationSpec, j: int, N: float,
         )
     if method == "closed_form":
         return closed_form_bound(K, N, r0).value
+    from .eigensolve import first_dirichlet_eigen
+
     return first_dirichlet_eigen(Density.model(K, N), r0, tol=solver_tol).eigenvalue
 
 

@@ -88,6 +88,29 @@ def test_first_zero_domain_error():
         bessel_first_zero(-2.3)
 
 
+def test_first_zero_work_budget(monkeypatch):
+    # A closed-form KK scan computes some 1 600 zeros per pass: each cache
+    # miss may evaluate J at most 10 times (Halley needs at most 8).
+    import scipy.special
+
+    jv_calls = 0
+
+    def counted_jv(nu, x):
+        nonlocal jv_calls
+        jv_calls += 1
+        return jv(nu, x)
+
+    monkeypatch.setattr(scipy.special, "jv", counted_jv)
+    nus = np.unique(np.concatenate((-1.0 + np.geomspace(1e-9, 1.0, 40),
+                                    np.linspace(0.0, 12.0, 49), np.geomspace(10.0, 1e5, 60))))
+    bessel_first_zero.cache_clear()
+    for nu in nus:
+        before = jv_calls
+        bessel_first_zero(float(nu))
+        assert 0 < jv_calls - before <= 10, (nu, jv_calls - before)
+    assert bessel_first_zero.cache_info().misses == nus.size
+
+
 _ORDERS = st.floats(min_value=-1.0, max_value=5e5, exclude_min=True)
 
 
@@ -134,6 +157,16 @@ def test_closed_form_bound_dispatch():
     s = s_kappa(-1.0, 1.0)  # sinh(1)
     expect = 4.0 + j32 * j32 + 2.0 * (1.0 / s ** 2 - 1.0)
     assert b.value == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("r0", [1.0, 2.0])
+def test_closed_form_bound_past_sinh_overflow(r0):
+    # kappa = -1e6/3: s_kappa(r0) is 1e247 at r0 = 1 (s^2 overflows) and
+    # sinh overflows at r0 = 2; 1/s^2 is 0 either way, with no warning
+    b = closed_form_bound(-1e6, 4.0, r0)
+    j = bessel_first_zero(1.0)
+    assert b.formula_tag == "upper_n_gt_3"
+    assert b.value == pytest.approx(750000.0 + j * j / r0**2 - 0.75 / r0**2, rel=1e-15)
 
 
 def test_closed_form_bound_n3_seam_is_continuous():

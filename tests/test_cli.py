@@ -469,6 +469,44 @@ def test_sweep_reaches_a_negative_start_in_exponent_form(capsys):
     assert all(r[2] == "" for r in rows)
 
 
+def test_negative_values_in_exponent_form(capsys):
+    # argparse before Python 3.13 reads "-2.5e-3" as an option, not a value
+    rc, out, err = run_cli(capsys, "ess-spectrum", "--K", "-2.5e-3", "--N", "4")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["result"]["threshold"] == 3.0 * 2.5e-3 / 4.0
+    rc, out, err = run_cli(capsys, "neumann-bound", "--K", "-1E-2", "--N", "4", "--diam", "1",
+                           "--format", "csv")
+    assert (rc, err) == (0, "")
+    rc, out, err = run_cli(capsys, "sweep", "ess-spectrum", "--over", "K", "--start", "-1e-05",
+                           "--stop", "-2e-05", "--count", "2", "--N", "4")
+    assert (rc, err) == (0, "")
+    assert [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]] == [-1e-05, -2e-05]
+    rc, out, err = run_cli(capsys, "sweep", "ess-spectrum", "--over", "N", "--start", "3",
+                           "--stop", "4", "--count", "2", "--K", "-2.5e-3", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["result"]["rows"][1]["threshold"] == 3.0 * 2.5e-3 / 4.0
+    rc, out, err = run_cli(capsys, "ess-spectrum", "--K", "-inf", "--N", "4")
+    assert rc == 2 and json.loads(err)["error"]["message"] == "K must be finite, got -inf"
+
+
+@pytest.mark.parametrize("argv", [
+    ["model-eigen", "--K", "-1001", "--N", "1.001", "--r0", "1"],
+    ["model-eigen", "--K", "-1e6", "--N", "4", "--r0", "1"],
+    ["model-eigen", "--K", "-1e6", "--N", "4", "--r0", "1", "--method", "shooting"],
+])
+def test_overflowing_model_weight_exits_two(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    error = json.loads(err)["error"]  # the one line on stderr
+    assert error["code"] == "domain" and "overflows" in error["message"]
+
+
+def test_closed_form_past_sinh_overflow_is_quiet(capsys):
+    rc, out, err = run_cli(capsys, "neumann-bound", "--K", "-1e6", "--N", "4", "--diam", "4")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["result"]["bound"] > 750000.0
+
+
 def test_sweep_header_names_the_swept_key_once(capsys):
     rc, out, _ = run_cli(capsys, "sweep", "neumann-bound", "--over", "j", "--start", "1",
                          "--stop", "2", "--count", "2", "--K", "0", "--N", "3", "--diam", "1")

@@ -741,6 +741,21 @@ def test_solver_argument_validation():
         first_dirichlet_eigen(zero_inside, 1.0)
 
 
+@pytest.mark.parametrize("K, N, r0", [
+    (-1001.0, 1.001, 1.0),  # sinh(1000) overflows, though h = s^0.001 would not
+    (-1e6, 4.0, 1.0),       # sinh is finite, s^3 overflows
+    (0.0, 1000.0, 10.0),    # r0^999 overflows
+])
+@pytest.mark.parametrize("method", ["matrix", "shooting"])
+def test_overflowing_model_weight_is_a_domain_error(K, N, r0, method):
+    # RuntimeWarnings are errors in this suite: none may escape either
+    with pytest.raises(PreconditionError) as exc:
+        first_dirichlet_eigen(Density.model(K, N), r0, method=method)
+    assert exc.value.code == "domain"
+    for text in (f"K = {K}", f"N = {N}", f"r0 = {r0}"):
+        assert text in exc.value.message
+
+
 def test_refinement_budget_exhaustion(monkeypatch):
     # three levels are the fewest that can stop; 16 nodes are too coarse
     # for two extrapolated values to agree to 1e-11

@@ -61,10 +61,14 @@ def test_cold_cli_loads_only_the_scipy_it_needs():
         import cdeigen
         import cdeigen.cli
         from cdeigen.cli import main
-        report["import"] = loaded("scipy")
+        report["import"] = loaded("scipy") + loaded("numpy")
         run("--version")
+        report["version"] = loaded("numpy")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["ess-spectrum", "--K"]) == 2
+        report["usage-error"] = loaded("numpy")
         run("ess-spectrum", "--K", "-1", "--N", "4")
-        report["ess"] = loaded("scipy")
+        report["ess"] = loaded("scipy") + loaded("numpy")
         run("model-eigen", "--K", "-4", "--N", "3", "--r0", "1")
         report["model-eigen"] = loaded("scipy")
         run("compare", "--model-K", "-4", "--K", "-4", "--N", "3", "--r0", "1",
@@ -74,16 +78,28 @@ def test_cold_cli_loads_only_the_scipy_it_needs():
         report["neumann"] = loaded("scipy")
         report["mpmath"] = "mpmath" in sys.modules
     """)
-    assert report["import"] == []
-    assert report["ess"] == []
+    for step in ("import", "version", "usage-error", "ess"):
+        assert report[step] == [], step
     for command in ("model-eigen", "compare"):
         assert "scipy.linalg" in report[command], command
         for module in UNUSED_BY_MATRIX:
             assert module not in report[command], (command, module)
     assert "scipy.special" in report["neumann"]
-    assert "scipy.integrate" not in report["neumann"]
-    assert "scipy.interpolate" not in report["neumann"]
+    for module in ("scipy.integrate", "scipy.interpolate", "scipy.optimize"):
+        assert module not in report["neumann"], module
     assert report["mpmath"] is False
+
+
+def test_cold_kk_bound_loads_bessel_scipy_only():
+    report = _fresh_interpreter_report("""
+        from cdeigen.cli import main
+        run("kk-bound", "--D", "6", "--d", "4", "--Lambda", "1", "--sigma", "2",
+            "--diam", "2", "--grid-points", "16")
+        report["kk"] = loaded("scipy")
+    """)
+    assert "scipy.special" in report["kk"]
+    for module in ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize"):
+        assert module not in report["kk"], module
 
 
 def test_physics_loads_bessel_scipy_and_shooting_loads_its_solvers():
@@ -95,10 +111,11 @@ def test_physics_loads_bessel_scipy_and_shooting_loads_its_solvers():
         report["shooting"] = loaded("scipy")
     """)
     assert "scipy.special" in report["physics"]
-    assert "scipy.optimize" in report["physics"]
+    assert "scipy.optimize" not in report["physics"]
     assert "scipy.integrate" not in report["physics"]
     assert "scipy.interpolate" not in report["physics"]
     assert "scipy.integrate" in report["shooting"]
+    assert "scipy.optimize" in report["shooting"]
 
 
 def _raised_codes(error_class: str) -> set:

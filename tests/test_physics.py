@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cdeigen import physics
+from cdeigen import eigensolve
 from cdeigen.bounds import closed_form_bound, neumann_upper_bound
 from cdeigen.cli import main
 from cdeigen.errors import NonconvergenceError, PreconditionError
@@ -211,7 +211,7 @@ def test_optimal_scan_failure_names_its_N(monkeypatch):
             raise NonconvergenceError("refinement", "budget exhausted")
         return SimpleNamespace(eigenvalue=closed_form_bound(h.K, h.N, r0).value)
 
-    monkeypatch.setattr(physics, "first_dirichlet_eigen", fake_solver)
+    monkeypatch.setattr(eigensolve, "first_dirichlet_eigen", fake_solver)
     with pytest.raises(NonconvergenceError) as exc:
         kk_mass_bound_optimal(spec_a(), method="solver", grid_points=8)
     assert exc.value.code == "refinement"
