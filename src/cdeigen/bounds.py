@@ -85,6 +85,16 @@ def closed_form_bound(K: float, N: float, r0: float) -> BoundValue:
         raise PreconditionError("domain", f"r0 must be positive and finite, got {r0}")
     if r0 >= d:
         raise PreconditionError("domain", f"r0 = {r0} reaches the diameter bound {d}")
+    # Every closed form has a term c / r0^2 with c >= (pi/2)^2: a radius
+    # whose r0^2 underflows to 0, or whose bound overflows, gives no value.
+    bound = _closed_form(K, N, r0) if r0 * r0 > 0.0 else None
+    if bound is None or not math.isfinite(bound.value):
+        raise PreconditionError(
+            "domain", f"r0 = {r0} is too small: the bound leaves double precision")
+    return bound
+
+
+def _closed_form(K: float, N: float, r0: float) -> BoundValue:
     if K == 0.0:
         j = bessel_first_zero(N / 2.0 - 1.0)
         return BoundValue(j * j / r0**2, True, "bessel_k0")

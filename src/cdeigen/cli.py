@@ -610,6 +610,19 @@ def _sweep_row(ns: argparse.Namespace) -> tuple[dict, str]:
         return {}, f"{exc.code}: {exc}"
 
 
+def _sweep_grid(start: float, stop: float, count: int) -> list[float]:
+    """``count`` evenly spaced floats from start to stop, bit for bit those of
+    ``numpy.linspace`` (i * step + start, the last one stop itself), except
+    that the first is start even when a NaN stop would swallow it."""
+    if count < 2:
+        return [start] * count
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    inner = [(i / div * delta if step == 0.0 else i * step) + start for i in range(1, div)]
+    return [start] + inner + [stop]
+
+
 def _run_sweep(ns: argparse.Namespace, passthrough: list[str],
                commands: dict[str, argparse.ArgumentParser]) -> int:
     targets = {name: p for name, p in commands.items() if p.get_default("compute")}
@@ -631,18 +644,14 @@ def _run_sweep(ns: argparse.Namespace, passthrough: list[str],
         raise PreconditionError("domain", f"workers must be at least 1, got {ns.workers}")
     option = action.option_strings[-1]
 
-    import numpy as np
-
     # An infinite end leaves no finite points between; a NaN end reaches
     # the target, which reports it, except as an integer.
-    ends = np.array([ns.start, ns.stop])
-    if np.isinf(ends).any() or (action.type is int and np.isnan(ends).any()):
+    ends = (ns.start, ns.stop)
+    if any(map(math.isinf, ends)) or (action.type is int and any(map(math.isnan, ends))):
         raise PreconditionError(
             "domain", f"--{ns.over} needs finite ends, got start {ns.start}, stop {ns.stop}"
         )
-    grid = np.linspace(ns.start, ns.stop, ns.count)
-    grid[:1] = ns.start  # a NaN stop would swallow the start
-    values = [int(v) if action.type is int else float(v) for v in grid]
+    values = [action.type(v) for v in _sweep_grid(ns.start, ns.stop, ns.count)]
     row_args = [tparser.parse_args(passthrough + [option, repr(v)]) for v in values]
     from concurrent.futures import ThreadPoolExecutor
 

@@ -63,7 +63,9 @@ class RigidityVerdict:
 
 @lru_cache(maxsize=64)
 def _model_eigen_interpolant(K: float, N: float, r0: float, tol: float):
-    sol = first_dirichlet_eigen(Density.model(K, N, right=r0), r0, tol=tol)
+    # phi is the test function on all of [0, theta], not only where h_{K,N}
+    # puts its mass, so the solve refines all of [0, r0]
+    sol = first_dirichlet_eigen(Density.model(K, N, right=r0), r0, tol=tol, cut=False)
     return sol.eigenvalue, _cubic_hermite(sol.grid, sol.phi, sol.dphi)
 
 

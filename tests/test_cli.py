@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cdeigen
-from cdeigen.cli import load_density_csv, main, write_density_csv
+from cdeigen.cli import _sweep_grid, load_density_csv, main, write_density_csv
 from cdeigen.errors import PreconditionError
 from cdeigen.modelspace import Density, model_density
 
@@ -501,6 +501,20 @@ def test_overflowing_model_weight_exits_two(capsys, argv):
     assert error["code"] == "domain" and "overflows" in error["message"]
 
 
+@pytest.mark.parametrize("argv, radius, kind", [
+    (["model-eigen", "--K", "0", "--N", "3", "--r0", "1e-150"], "1e-150", "underflows"),
+    (["model-eigen", "--K", "0", "--N", "3", "--r0", "1e-90"], "1e-90", "overflows"),
+    (["model-eigen", "--K", "0", "--N", "3", "--r0", "1e-160"], "1e-160", "too narrow"),
+    (["neumann-bound", "--K", "-1", "--N", "4", "--diam", "1e-170"], "5e-171", "too small"),
+])
+def test_tiny_radius_is_a_domain_error(capsys, argv, radius, kind):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "domain" and f"r0 = {radius}" in error["message"]
+    assert kind in error["message"]
+
+
 def test_closed_form_past_sinh_overflow_is_quiet(capsys):
     rc, out, err = run_cli(capsys, "neumann-bound", "--K", "-1e6", "--N", "4", "--diam", "4")
     assert (rc, err) == (0, "")
@@ -537,3 +551,13 @@ def test_sweep_reaches_the_start_before_a_nan_stop(capsys):
     first, second = json.loads(out)["result"]["rows"]
     assert first == {"K": -4.0, "threshold": 3.0, "error": ""}
     assert second["K"] is None and second["error"].startswith("domain")
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.0, 1.0, 0), (0.0, 1.0, 1), (0.0, 1.0, 2), (-1.0, 0.0, 7), (2.5, 2.5, 4),
+    (3.0, -0.1, 11), (-4.0, math.nan, 3), (0.0, 5e-324, 3), (-1e-05, 0.3, 101),
+])
+def test_sweep_grid_is_numpy_linspace_bit_for_bit(start, stop, count):
+    ref = np.linspace(start, stop, count)
+    ref[:1] = start  # the sweep reaches its start even before a NaN stop
+    assert np.array(_sweep_grid(start, stop, count), dtype=float).tobytes() == ref.tobytes()

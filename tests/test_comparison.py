@@ -211,3 +211,23 @@ def test_family_gap_nonnegative_property(K, N, r0, frac):
     for h in cd_density_family(K, N, r0, count=3):
         rep = comparison_residual(h, K, N, r0, frac * r0)
         assert rep.gap >= -tol * rep.rhs, (K, N, r0, frac, h.kind, h.K)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0])
+def test_comparison_uses_the_eigenfunction_on_all_of_the_interval(monkeypatch, theta):
+    # at N = 30 the model eigenfunction holds all but 1e-16 of h_{0,30} phi^2
+    # above about 0.2 r0, yet it falls by some 20 % below there; a constant
+    # density weighs that stretch fully, so the solver's cut must not reach
+    # the comparison's test function
+    from cdeigen import comparison, eigensolve
+
+    h = Density.sampled(np.linspace(0.0, 1.0, 11), np.ones(11), interp_dim=30.0)
+    comparison._model_eigen_interpolant.cache_clear()
+    rep = comparison_residual(h, 0.0, 30.0, 1.0, theta)
+    monkeypatch.setattr(eigensolve, "_CUT_SHARE", 0.0)
+    comparison._model_eigen_interpolant.cache_clear()
+    ref = comparison_residual(h, 0.0, 30.0, 1.0, theta)
+    comparison._model_eigen_interpolant.cache_clear()
+    assert rep.rhs == pytest.approx(ref.rhs, rel=composed_tolerance())
+    assert rep.lhs == pytest.approx(ref.lhs, rel=composed_tolerance())
+    assert abs(rep.relative_gap - ref.relative_gap) <= composed_tolerance()

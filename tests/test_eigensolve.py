@@ -415,6 +415,61 @@ def test_raw_levels_never_rise(K, N, u):
     assert np.all(np.diff(hist) <= 1e-13 * hist[1:]), (K, N, r0, hist)
 
 
+def _kk_curve(N):
+    # the default kk-bound curve K(N) = 1 - (N+2)/(N-2), solved at r0 = 1
+    return Density.model(1.0 - (N + 2.0) / (N - 2.0), N)
+
+
+@pytest.mark.parametrize("N", [100.0, 300.0, 1000.0, 2000.0])
+def test_cut_below_the_mass_keeps_the_eigenvalue(monkeypatch, N):
+    # at large N all but 1e-16 of h phi^2 lies near r0: after the first
+    # level only [a, r0] is refined, with a natural end at a
+    sol = first_dirichlet_eigen(_kk_curve(N), 1.0)
+    hist = np.asarray(sol.refinement_history)
+    assert sol.grid[1] > 0.4
+    assert np.all(np.diff(hist) <= 1e-13 * hist[1:]), hist
+    assert sol.flux_residual <= 100.0 * 1e-8
+    monkeypatch.setattr(eigensolve, "_CUT_SHARE", 0.0)
+    uncut = first_dirichlet_eigen(_kk_curve(N), 1.0)
+    assert uncut.grid[1] < 1e-5
+    assert sol.eigenvalue == pytest.approx(uncut.eigenvalue, rel=1e-9)
+    assert len(sol.refinement_history) == len(uncut.refinement_history)
+    # the first level only estimates the share below a; the converged
+    # eigenfunction's share stays within a small factor of the target
+    a, phi = sol.grid[1], eigensolve._cubic_hermite(uncut.grid, uncut.phi, uncut.dphi)
+    share = (weighted_integral(lambda t: phi(t) ** 2, _kk_curve(N), 0.0, a)
+             / weighted_integral(lambda t: phi(t) ** 2, _kk_curve(N), 0.0, 1.0))
+    assert share < 1e-15
+    # a node count, not a timing: the uncut mesh reaches 66 177 nodes at N = 2000
+    assert N != 2000.0 or sol.grid.size <= 8500
+
+
+def test_a_cut_that_removes_no_node_changes_nothing(monkeypatch):
+    sol = first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
+    monkeypatch.setattr(eigensolve, "_CUT_SHARE", 0.0)
+    ref = first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
+    assert sol.grid.tolist() == ref.grid.tolist()
+    assert sol.refinement_history == ref.refinement_history
+    assert (sol.eigenvalue, sol.flux_residual) == (ref.eigenvalue, ref.flux_residual)
+    assert sol.dphi.tolist() == ref.dphi.tolist()
+
+
+@pytest.mark.parametrize("dim", [2.0, 3.5])
+def test_cut_keeps_the_sample_nodes_above_it_as_breaks(dim):
+    # h is 1e-30 up to the sample node 0.35, so the cut lands there; slopes
+    # are recovered on [a, r0] alone, one-sided at every sample node above a
+    grid = np.linspace(0.0, 1.0, 21)
+    h = Density.sampled(grid, np.where(grid < 0.4, 1e-30, 1.0 + grid), interp_dim=dim)
+    sol = first_dirichlet_eigen(h, 1.0)
+    a = sol.grid[1]
+    assert a == grid[7]
+    assert np.isin(grid[grid > a], sol.grid).all()
+    breaks = grid[(grid > a) & (grid < 1.0)]
+    slopes = eigensolve._poly_derivative(sol.grid[1:], sol.phi[1:], breaks)
+    assert sol.dphi[0] == 0.0 and sol.dphi[1:].tolist() == slopes.tolist()
+    assert sol.flux_residual <= 100.0 * 1e-8
+
+
 def test_model_near_N_1_is_an_upper_bound_within_five_levels():
     # h = theta^0.05: every raw level is the Rayleigh quotient of a
     # conforming function, so it lies above j_{N/2-1,1}^2

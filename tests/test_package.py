@@ -69,6 +69,9 @@ def test_cold_cli_loads_only_the_scipy_it_needs():
         report["usage-error"] = loaded("numpy")
         run("ess-spectrum", "--K", "-1", "--N", "4")
         report["ess"] = loaded("scipy") + loaded("numpy")
+        run("sweep", "ess-spectrum", "--over", "K", "--start", "-1", "--stop", "0",
+            "--count", "3", "--N", "4")
+        report["sweep"] = loaded("numpy")
         run("model-eigen", "--K", "-4", "--N", "3", "--r0", "1")
         report["model-eigen"] = loaded("scipy")
         run("compare", "--model-K", "-4", "--K", "-4", "--N", "3", "--r0", "1",
@@ -78,7 +81,7 @@ def test_cold_cli_loads_only_the_scipy_it_needs():
         report["neumann"] = loaded("scipy")
         report["mpmath"] = "mpmath" in sys.modules
     """)
-    for step in ("import", "version", "usage-error", "ess"):
+    for step in ("import", "version", "usage-error", "ess", "sweep"):
         assert report[step] == [], step
     for command in ("model-eigen", "compare"):
         assert "scipy.linalg" in report[command], command
