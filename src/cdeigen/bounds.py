@@ -9,6 +9,13 @@ an Airy-type expansion for nu > 10, otherwise at 0.42 of the way from the
 lower bound sqrt((nu+1)(nu+5)) to the upper one.  At most four steps meet
 the 1e-12 relative contract of ``bessel_first_zero`` for orders in
 (-1, 1e5]; the result is checked against the bracket.
+
+The start, the step and the bracket test are each defined once.
+``bessel_first_zero`` iterates one order on floats, and ``bessel_first_zeros``
+a batch of orders on arrays, each order leaving the batch at its own last
+step, so the two agree bit for bit.  Likewise each
+closed form is written once: ``closed_form_bound`` evaluates it at a point,
+``closed_form_values`` over arrays of K and N, as in an N-scan.
 """
 
 from __future__ import annotations
@@ -34,6 +41,37 @@ def _modelspace():
     return modelspace
 
 
+def _halley_start(nu: float) -> float:
+    """Starting point of the Halley iteration for j_{nu,1}."""
+    hi = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
+    if nu > 10.0:
+        c = nu ** (1.0 / 3.0)
+        t = _AIRY_COEFFS
+        return nu + t[0] * c + t[1] / c + t[2] / nu + t[3] / (nu * c) + t[4] / (nu * nu / c)
+    lo = math.sqrt((nu + 1.0) * (nu + 5.0))
+    return lo + 0.42 * (hi - lo)
+
+
+def _halley_step(jv, nu, x):
+    """One Halley step toward J_nu(x) = 0, for floats or arrays: the new x,
+    and whether the step was shorter than 1e-13 x."""
+    j = jv(nu, x)
+    dj = jv(nu - 1.0, x) - nu / x * j
+    d2j = -dj / x - (1.0 - (nu / x) ** 2) * j
+    dx = j / dj / (1.0 - j * d2j / (2.0 * dj * dj))
+    x = x - dx
+    return x, abs(dx) <= 1e-13 * x
+
+
+def _in_bracket(nu, x):
+    """Whether x lies in (max(nu, 0), sqrt(2(nu+1)(nu+3))), for floats or
+    arrays.  As nu -> -1 the zero approaches the upper end to within
+    rounding, so that end has a 1e-12 margin."""
+    from numpy import maximum, sqrt
+
+    return (maximum(nu, 0.0) < x) & (x < sqrt(2.0 * (nu + 1.0) * (nu + 3.0)) * (1.0 + 1e-12))
+
+
 @lru_cache(maxsize=16384)
 def bessel_first_zero(nu: float) -> float:
     """Smallest positive zero j_{nu,1} of J_nu, to 1e-12 relative accuracy."""
@@ -42,27 +80,38 @@ def bessel_first_zero(nu: float) -> float:
         raise PreconditionError("domain", f"order must exceed -1, got {nu}")
     from scipy.special import jv
 
-    hi = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
-    if nu > 10.0:
-        c = nu ** (1.0 / 3.0)
-        t = _AIRY_COEFFS
-        x = nu + t[0] * c + t[1] / c + t[2] / nu + t[3] / (nu * c) + t[4] / (nu * nu / c)
+    x = _halley_start(nu)
+    for _ in range(8):  # a NaN step never passes the test: it stalls
+        x, done = _halley_step(jv, nu, x)
+        if done:
+            break
     else:
-        lo = math.sqrt((nu + 1.0) * (nu + 5.0))
-        x = lo + 0.42 * (hi - lo)
-    for _ in range(8):  # a NaN step never passes the test below: it stalls
-        j = jv(nu, x)
-        dj = jv(nu - 1.0, x) - nu / x * j
-        d2j = -dj / x - (1.0 - (nu / x) ** 2) * j
-        dx = j / dj / (1.0 - j * d2j / (2.0 * dj * dj))
-        x -= dx
-        if abs(dx) <= 1e-13 * x:
-            # As nu -> -1 the zero approaches the upper bound to within rounding.
-            if not max(nu, 0.0) < x < hi * (1.0 + 1e-12):
-                raise NonconvergenceError(
-                    "newton", f"first-zero Halley iteration left its bracket at nu={nu}")
-            return float(x)
-    raise NonconvergenceError("newton", f"first-zero Halley iteration stalled at nu={nu}")
+        raise NonconvergenceError("newton", f"first-zero Halley iteration stalled at nu={nu}")
+    if not _in_bracket(nu, x):
+        raise NonconvergenceError(
+            "newton", f"first-zero Halley iteration left its bracket at nu={nu}")
+    return float(x)
+
+
+def bessel_first_zeros(nu):
+    """``bessel_first_zero`` over a 1-d array of orders nu > -1, bit for bit,
+    with NaN where that raises ``newton``.  Each order stops at its own first
+    step shorter than 1e-13 of its zero, so its zero does not depend on the
+    other orders of the batch."""
+    import numpy as np
+    from scipy.special import jv
+
+    nu = np.asarray(nu, dtype=float)
+    x = np.array([_halley_start(v) for v in nu.tolist()])
+    zeros = np.full(nu.size, np.nan)
+    live = np.arange(nu.size)
+    for _ in range(8):
+        x, done = _halley_step(jv, nu[live], x)
+        zeros[live[done]] = x[done]
+        live, x = live[~done], x[~done]
+        if not live.size:
+            break
+    return np.where(_in_bracket(nu, zeros), zeros, np.nan)
 
 
 @dataclass(frozen=True)
@@ -72,6 +121,11 @@ class BoundValue:
     value: float
     exact: bool
     formula_tag: str
+
+
+# (formula_tag, exact) of each closed form, by its index from ``_case``.
+_FORMULAS = (("bessel_k0", True), ("exact_n3", True),
+             ("upper_n_lt_3", False), ("upper_n_gt_3", False))
 
 
 def closed_form_bound(K: float, N: float, r0: float) -> BoundValue:
@@ -85,31 +139,86 @@ def closed_form_bound(K: float, N: float, r0: float) -> BoundValue:
         raise PreconditionError("domain", f"r0 must be positive and finite, got {r0}")
     if r0 >= d:
         raise PreconditionError("domain", f"r0 = {r0} reaches the diameter bound {d}")
+    K, N = float(K), float(N)
+    case = _case(K, N)
     # Every closed form has a term c / r0^2 with c >= (pi/2)^2: a radius
     # whose r0^2 underflows to 0, or whose bound overflows, gives no value.
-    bound = _closed_form(K, N, r0) if r0 * r0 > 0.0 else None
-    if bound is None or not math.isfinite(bound.value):
+    value = math.nan
+    if r0 * r0 > 0.0:
+        j = bessel_first_zero(N / 2.0 - 1.0) if case != 1 else math.nan
+        value = _closed_form(case, K, N, r0, j)
+    if not math.isfinite(value):
         raise PreconditionError(
             "domain", f"r0 = {r0} is too small: the bound leaves double precision")
-    return bound
+    tag, exact = _FORMULAS[case]
+    return BoundValue(value, exact, tag)
 
 
-def _closed_form(K: float, N: float, r0: float) -> BoundValue:
-    if K == 0.0:
-        j = bessel_first_zero(N / 2.0 - 1.0)
-        return BoundValue(j * j / r0**2, True, "bessel_k0")
-    if N == 3.0:
-        return BoundValue(-K / 2.0 + math.pi**2 / r0**2, True, "exact_n3")
-    j = bessel_first_zero(N / 2.0 - 1.0)
-    if N < 3.0:
-        return BoundValue(-N * K / 6.0 + j * j / r0**2, False, "upper_n_lt_3")
-    # Where sinh overflows (sqrt(-kappa) r0 > 710.47), r0^2/s^2 is below 1e-300;
-    # where s**2 does (s > 1.3e154), 1/s^2 is below 1e-308.  Both take 1/s^2 = 0.
-    kappa = K / (N - 1.0)
-    s = _modelspace().s_kappa(kappa, r0) if kappa * r0 * r0 > -710.0**2 else math.inf
-    inv_s2 = 1.0 / s**2 if s < 1e154 else 0.0
-    extra = (N - 1.0) * (N - 3.0) / 4.0 * (inv_s2 - 1.0 / r0**2)
-    return BoundValue(-(N - 1.0) * K / 4.0 + j * j / r0**2 + extra, False, "upper_n_gt_3")
+def closed_form_values(K, N, r0: float, zeros):
+    """``closed_form_bound(K, N, r0).value`` over 1-d arrays K and N, bit for
+    bit, at one radius r0 inside each model diameter.
+
+    ``zeros`` holds j_{N/2-1,1} for each N; it is not read where N = 3 and
+    K != 0.  A NaN zero gives a NaN value; where ``closed_form_bound`` says
+    the radius is too small, the value is not finite.  Nothing warns.
+    """
+    import numpy as np
+
+    K, N, j = (np.asarray(a, dtype=float) for a in (K, N, zeros))
+    out = np.full(K.shape, np.nan)
+    if not r0 * r0 > 0.0:
+        return out
+    case = _case(K, N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(len(_FORMULAS)):
+            part = case == c
+            if np.any(part):
+                out[part] = _closed_form(c, K[part], N[part], r0, j[part])
+    return out
+
+
+def _case(K, N):
+    """Index in ``_FORMULAS`` of the closed form at (K, N), for floats or
+    arrays: K = 0 first, then N = 3, N < 3, N > 3."""
+    if isinstance(K, float):
+        return 0 if K == 0.0 else 1 if N == 3.0 else 2 if N < 3.0 else 3
+    from numpy import select
+
+    return select([K == 0.0, N == 3.0, N < 3.0], [0, 1, 2], 3)
+
+
+def _closed_form(case: int, K, N, r0: float, j):
+    """Closed form number ``case`` at r0, for floats K, N, j or for arrays of
+    points that all take that form.  r0 is a float, so r0**2 is libm's pow,
+    as for a float bound; numpy's square can differ from it in the last bit."""
+    r2 = r0**2
+    if case == 0:
+        return j * j / r2
+    if case == 1:
+        return -K / 2.0 + math.pi**2 / r2
+    if case == 2:
+        return -N * K / 6.0 + j * j / r2
+    extra = (N - 1.0) * (N - 3.0) / 4.0 * (_inv_s2(K / (N - 1.0), r0) - 1.0 / r2)
+    return -(N - 1.0) * K / 4.0 + j * j / r2 + extra
+
+
+def _inv_s2(kappa, r0: float):
+    """1/s_kappa(r0)^2 for a float kappa or an array of them.
+
+    Where sinh overflows (sqrt(-kappa) r0 > 710.47), r0^2/s^2 is below
+    1e-300; where s**2 does (s > 1.3e154), 1/s^2 is below 1e-308.  Both take
+    1/s^2 = 0.  Each s**2 is libm's pow, as for a float.
+    """
+    s_kappa = _modelspace().s_kappa
+    if isinstance(kappa, float):
+        s = s_kappa(kappa, r0) if kappa * r0 * r0 > -710.0**2 else math.inf
+        return 1.0 / s**2 if s < 1e154 else 0.0
+    import numpy as np
+
+    near = kappa * r0 * r0 > -710.0**2
+    s = np.full(kappa.shape, math.inf)
+    s[near] = s_kappa(kappa[near], r0)
+    return np.array([1.0 / w**2 if w < 1e154 else 0.0 for w in s.tolist()])
 
 
 def mode_radius(diam: float, j: int) -> float:

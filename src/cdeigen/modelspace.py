@@ -27,40 +27,76 @@ from .errors import PreconditionError, require_finite
 _SERIES_CUTOFF = 1e-8
 
 
-def _as_theta_array(theta):
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < 0) or np.any(~np.isfinite(th)):
+def _as_theta(theta):
+    """theta as a float, or as a float array when it has a dimension; finite
+    and nonnegative.  A float skips numpy's array set-up, which costs more
+    than the evaluation at one point."""
+    if not isinstance(theta, (float, int)):
+        th = np.asarray(theta, dtype=float)
+        if th.ndim:
+            if np.any(th < 0) or np.any(~np.isfinite(th)):
+                raise PreconditionError("domain", "theta must be finite and nonnegative")
+            return th
+    th = float(theta)
+    if not (th >= 0.0 and math.isfinite(th)):
         raise PreconditionError("domain", "theta must be finite and nonnegative")
     return th
 
 
-def s_kappa(kappa: float, theta):
+def _series(x2, th):
+    """Taylor form of s_kappa(theta) in x2 = kappa theta^2, for |x2| < _SERIES_CUTOFF."""
+    return th * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
+
+
+def s_kappa(kappa, theta):
     """Generalized sine: the solution of u'' + kappa u = 0, u(0)=0, u'(0)=1.
 
     sin(sqrt(k) x)/sqrt(k) for k > 0, x for k = 0, sinh(sqrt(-k) x)/sqrt(-k)
-    for k < 0.  Accepts scalar or array theta >= 0.
+    for k < 0.  Accepts scalar or array theta >= 0, and scalar or array
+    kappa, elementwise.  Floats give a float, through the same numpy sin
+    and sinh as an array.
     """
-    th = _as_theta_array(theta)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
+    th = _as_theta(theta)
+    if isinstance(kappa, np.ndarray) and kappa.ndim:
+        kappa, th = np.broadcast_arrays(kappa, th)
+    else:
+        kappa = float(kappa)
     x2 = kappa * th * th
-    out = np.empty_like(th)
+    if isinstance(x2, float):
+        if abs(x2) < _SERIES_CUTOFF:
+            return _series(x2, th)
+        rk = math.sqrt(abs(kappa))
+        return float((np.sin if kappa > 0 else np.sinh)(rk * th) / rk)
+    out = np.empty(x2.shape)
     small = np.abs(x2) < _SERIES_CUTOFF
-    xs = x2[small]
-    out[small] = th[small] * (1.0 - xs / 6.0 * (1.0 - xs / 20.0 * (1.0 - xs / 42.0)))
+    out[small] = _series(x2[small], th[small])
     big = ~small
-    if np.any(big):
-        if kappa > 0:
-            rk = math.sqrt(kappa)
-            out[big] = np.sin(rk * th[big]) / rk
-        else:
-            rk = math.sqrt(-kappa)
-            out[big] = np.sinh(rk * th[big]) / rk
-    return float(out[0]) if scalar else out
+    if isinstance(kappa, float):
+        if np.any(big):
+            rk = math.sqrt(abs(kappa))
+            out[big] = (np.sin if kappa > 0 else np.sinh)(rk * th[big]) / rk
+    else:
+        for sine, part in ((np.sin, big & (kappa > 0)), (np.sinh, big & (kappa < 0))):
+            rk = np.sqrt(np.abs(kappa[part]))
+            out[part] = sine(rk * th[part]) / rk
+    return out
 
 
-def max_diameter(K: float, N: float) -> float:
-    """Diameter bound pi * sqrt((N-1)/K) for K > 0; +inf for K <= 0."""
+def max_diameter(K, N):
+    """Diameter bound pi * sqrt((N-1)/K) for K > 0; +inf for K <= 0.
+
+    Elementwise when K or N is an array.
+    """
+    if isinstance(K, np.ndarray) or isinstance(N, np.ndarray):
+        K, N = np.broadcast_arrays(np.asarray(K, dtype=float), np.asarray(N, dtype=float))
+        bad = ~(np.isfinite(K) & (N > 1.0) & np.isfinite(N))
+        if np.any(bad):
+            i = np.flatnonzero(bad)[0]
+            max_diameter(float(K.flat[i]), float(N.flat[i]))  # raises its domain error
+        d = np.full(K.shape, math.inf)
+        pos = K > 0
+        d[pos] = math.pi * np.sqrt((N[pos] - 1) / K[pos])
+        return d
     require_finite(K=K, N=N)
     if N <= 1:
         raise PreconditionError("domain", f"dimension parameter N must exceed 1, got {N}")
@@ -76,16 +112,19 @@ def model_density(K: float, N: float, theta):
     diameter bound.  Evaluation past the diameter bound is an error.
     """
     d = max_diameter(K, N)
-    th = _as_theta_array(theta)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    if np.any(th > d * (1.0 + 1e-12)):
+    th = _as_theta(theta)
+    scalar = isinstance(th, float)
+    if (th if scalar else np.max(th, initial=0.0)) > d * (1.0 + 1e-12):
         raise PreconditionError(
             "domain", f"theta beyond the diameter bound {d} for K={K}, N={N}"
         )
-    s = np.atleast_1d(s_kappa(K / (N - 1), np.minimum(th, d)))
-    out = np.where(th >= d, 0.0, np.maximum(s, 0.0) ** (N - 1))
-    return float(out[0]) if scalar else out
+    if scalar:
+        if th >= d:
+            return 0.0
+        # np.power is the array's ``**``; ``**`` on a numpy scalar is libm's pow.
+        return float(np.power(np.maximum(s_kappa(K / (N - 1), th), 0.0), N - 1))
+    s = s_kappa(K / (N - 1), np.minimum(th, d))
+    return np.where(th >= d, 0.0, np.maximum(s, 0.0) ** (N - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,16 +196,17 @@ class Density:
         )
 
     def __call__(self, theta):
-        th = _as_theta_array(theta)
-        if np.any(th > self.right * (1.0 + 1e-12)):
+        th = _as_theta(theta)
+        scalar = isinstance(th, float)
+        if (th if scalar else np.max(th, initial=0.0)) > self.right * (1.0 + 1e-12):
             raise PreconditionError(
                 "domain", f"evaluation outside the density domain [0, {self.right}]"
             )
-        th = np.minimum(th, self.right)
+        th = min(th, self.right) if scalar else np.minimum(th, self.right)
         if self.kind == "model":
             return model_density(self.K, self.N, th)
         out = np.interp(th, self.grid, self.g_values) ** (self.interp_dim - 1.0)
-        return float(out) if np.ndim(theta) == 0 else out
+        return float(out) if scalar else out
 
     def positive_on_interior(self, r0: float) -> bool:
         """True when no sample node in (0, r0) carries a zero value."""

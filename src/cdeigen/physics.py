@@ -9,12 +9,19 @@ curvature at least
 for every synthetic dimension N > D - d.  The j-th spin-2 Kaluza-Klein mass
 then obeys m_j^2 <= lambda_{K(N), N, diam/(2j)}, and N is a free parameter to
 optimize over.
+
+``kk_mass_bound_optimal`` scans a logarithmic grid in N - (D - d) and refines
+the best bracket by golden-section search.  With the closed form, the grid
+is one array pass (K(N), the infeasible points and the closed forms, each
+in one call), on Bessel zeros computed once per D - d and grid size; the
+golden-section steps evaluate one N at a time through ``kk_mass_bound_at``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 # Every closed-form N-scan needs Bessel zeros, which ``bounds`` computes with
@@ -22,11 +29,14 @@ import numpy as np
 # scan that misses the Bessel-zero cache.
 import scipy.special  # noqa: F401
 
-from .bounds import closed_form_bound, mode_radius
+from .bounds import bessel_first_zeros, closed_form_bound, closed_form_values, mode_radius
 from .errors import NonconvergenceError, PreconditionError
 from .modelspace import Density, max_diameter
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest N-scan grid.  It bounds a scan's memory and that of the cached
+# grids (three arrays of this size each), and keeps a solver scan finite.
+_MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -64,13 +74,15 @@ class CompactificationSpec:
         return int(self.D) - int(self.d)
 
 
-def kk_curvature(spec: CompactificationSpec, N: float) -> float:
-    """Curvature parameter K(N) of the internal weighted geometry."""
+def kk_curvature(spec: CompactificationSpec, N):
+    """Curvature parameter K(N) of the internal weighted geometry; elementwise
+    for an array of N."""
     n = spec.n_internal
-    if not N > n:
+    array = isinstance(N, np.ndarray)
+    if not (np.all(N > n) if array else N > n):
         raise PreconditionError("domain", f"N must exceed D - d = {n}, got {N}")
     if spec.sigma_w == 0.0:
-        return spec.Lambda
+        return np.full(N.shape, spec.Lambda) if array else spec.Lambda
     if spec.D == 2:
         raise PreconditionError("domain", "D = 2 with a nonzero warp gradient is degenerate")
     return spec.Lambda - (N + spec.d - 2.0) * spec.sigma_w ** 2 / (
@@ -136,36 +148,74 @@ def _objective(spec, j, method, solver_tol):
     return f
 
 
+@lru_cache(maxsize=64)
+def _scan_grid(n: int, points: int):
+    """The N-scan's grid u = N - n, logarithmic in [1e-3, 1000 n - n], its
+    N = n + u and the Bessel zeros j_{N/2-1,1} of the closed forms there
+    (NaN where one fails).  They depend only on n = D - d and the grid size,
+    so every spec and mode index with that n shares them."""
+    us = np.geomspace(1e-3, 1000.0 * n - n, points)
+    Ns = n + us
+    grid = us, Ns, bessel_first_zeros(Ns / 2.0 - 1.0)
+    for a in grid:
+        a.setflags(write=False)
+    return grid
+
+
+def _closed_form_scan(spec: CompactificationSpec, j: int, Ns, zeros):
+    """``kk_mass_bound_at(spec, j, N, method="closed_form")`` at every N of an
+    array in one pass, bit for bit: +inf where K(N) > 0 puts r0 at or beyond
+    the model diameter, NaN where the closed form fails."""
+    K = kk_curvature(spec, Ns)
+    r0 = mode_radius(spec.diam, j)
+    feasible = ~((K > 0) & (r0 >= max_diameter(K, Ns)))
+    vals = np.full(Ns.shape, math.inf)
+    v = closed_form_values(K[feasible], Ns[feasible], r0, zeros[feasible])
+    vals[feasible] = np.where(np.isfinite(v), v, np.nan)
+    return vals
+
+
 def kk_mass_bound_optimal(spec: CompactificationSpec, j: int = 1,
                           method: str = "closed_form", grid_points: int = 160,
                           golden_tol: float = 1e-6, want_profile: bool = False,
                           solver_tol: float = 1e-8) -> KkBoundResult:
     """Minimize the mass bound over N in (D-d, 10^3 (D-d)].
 
-    A logarithmic grid in u = N - (D-d) from 1e-3 up brackets the minimum;
+    A logarithmic grid of ``grid_points`` values of u = N - (D-d) from 1e-3
+    up (an integer in [8, ``_MAX_GRID_POINTS``]) brackets the minimum;
     golden-section search in log u refines it to relative tolerance
     ``golden_tol``.  N values whose K(N) > 0 puts r0 beyond the model
-    diameter are infeasible and excluded (treated as +inf).
+    diameter are infeasible and excluded (treated as +inf).  The closed-form
+    grid is valued in one array pass, with the values ``kk_mass_bound_at``
+    gives point by point; the solver's is solved point by point.
     """
-    if not (math.isfinite(grid_points) and grid_points >= 8):
-        raise PreconditionError("domain", f"grid_points must be at least 8, got {grid_points}")
+    if not (math.isfinite(grid_points) and float(grid_points).is_integer()):
+        raise PreconditionError("domain", f"grid_points must be an integer, got {grid_points}")
+    if not 8 <= grid_points <= _MAX_GRID_POINTS:
+        raise PreconditionError(
+            "domain", f"grid_points must lie in [8, {_MAX_GRID_POINTS}], got {grid_points}")
     if not 0 < golden_tol < 1e-1:
         raise PreconditionError("domain", f"golden_tol must lie in (0, 0.1), got {golden_tol}")
     n = spec.n_internal
     f = _objective(spec, j, method, solver_tol)
-    u_lo, u_hi = 1e-3, 1000.0 * n - n
-    us = np.geomspace(u_lo, u_hi, int(grid_points))
-    vals = np.array([f(n + u) for u in us])
+    us, Ns, zeros = _scan_grid(n, int(grid_points))
+    if method == "closed_form":
+        vals = _closed_form_scan(spec, j, Ns, zeros)
+        # A point the array pass could not value raises its own coded error.
+        for i in np.flatnonzero(np.isnan(vals)):
+            vals[i] = f(Ns[i])
+    else:
+        vals = np.array([f(N) for N in Ns])
     if not np.any(np.isfinite(vals)):
         raise PreconditionError(
             "infeasible", "every scanned N is infeasible for this compactification"
         )
     i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.nan)))
-    profile = tuple((float(n + u), float(v)) for u, v in zip(us, vals)) if want_profile else None
+    profile = tuple((float(N), float(v)) for N, v in zip(Ns, vals)) if want_profile else None
 
     interior = 0 < i < us.size - 1 and np.isfinite(vals[i - 1]) and np.isfinite(vals[i + 1])
     if not interior:
-        N_star = float(n + us[i])
+        N_star = float(Ns[i])
         return KkBoundResult(
             j=int(j), N_star=N_star, K_star=kk_curvature(spec, N_star),
             bound=float(vals[i]), method=method, profile=profile, bracketed=False,

@@ -10,12 +10,14 @@ from scipy.special import jv
 from cdeigen.bounds import (
     BoundValue,
     bessel_first_zero,
+    bessel_first_zeros,
     closed_form_bound,
+    closed_form_values,
     essential_spectrum_threshold,
     neumann_upper_bound,
 )
 from cdeigen.eigensolve import first_dirichlet_eigen
-from cdeigen.errors import PreconditionError
+from cdeigen.errors import NonconvergenceError, PreconditionError
 from cdeigen.modelspace import Density, check_cd_density, max_diameter, s_kappa
 
 
@@ -88,9 +90,13 @@ def test_first_zero_domain_error():
         bessel_first_zero(-2.3)
 
 
+_ORDERS = st.floats(min_value=-1.0, max_value=5e5, exclude_min=True)
+_ORDERS_TO_1E5 = st.floats(min_value=-1.0, max_value=1e5, exclude_min=True)
+
+
 def test_first_zero_work_budget(monkeypatch):
-    # A closed-form KK scan computes some 1 600 zeros per pass: each cache
-    # miss may evaluate J at most 10 times (Halley needs at most 8).
+    # Each golden-section step of a closed-form KK scan misses the cache:
+    # each miss may evaluate J at most 10 times (Halley needs at most 8).
     import scipy.special
 
     jv_calls = 0
@@ -110,8 +116,47 @@ def test_first_zero_work_budget(monkeypatch):
         assert 0 < jv_calls - before <= 10, (nu, jv_calls - before)
     assert bessel_first_zero.cache_info().misses == nus.size
 
+    # The batch evaluates J on every order still iterating, in one call: at
+    # most 10 calls, so at most 10 evaluations per order.
+    calls = evaluations = 0
 
-_ORDERS = st.floats(min_value=-1.0, max_value=5e5, exclude_min=True)
+    def counted_batch_jv(nu, x):
+        nonlocal calls, evaluations
+        calls += 1
+        evaluations += np.size(x)
+        return jv(nu, x)
+
+    monkeypatch.setattr(scipy.special, "jv", counted_batch_jv)
+    zeros = bessel_first_zeros(nus)
+    assert 0 < calls <= 10, calls
+    assert evaluations <= 10 * nus.size
+    assert list(zeros) == [bessel_first_zero(float(nu)) for nu in nus]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(_ORDERS_TO_1E5, min_size=1, max_size=24))
+def test_batched_zeros_are_the_scalar_zeros(nus):
+    # NaN where the scalar raises `newton`: it does at nu = -1 + 2^-53
+    def scalar(nu):
+        try:
+            return bessel_first_zero(nu)
+        except NonconvergenceError as exc:
+            assert exc.code == "newton"
+            return math.nan
+
+    np.testing.assert_array_equal(bessel_first_zeros(nus), [scalar(nu) for nu in nus])
+
+
+def test_batched_zeros_mark_a_failed_order_alone(monkeypatch):
+    # J made NaN at one order: that order's zero is NaN, and no other moves
+    import scipy.special
+
+    nus = np.array([-0.5, 0.25, 3.0, 40.0, 2500.0])
+    monkeypatch.setattr(scipy.special, "jv",
+                        lambda nu, x: np.where(nu == 3.0, np.nan, jv(nu, x)))
+    zeros = bessel_first_zeros(nus)
+    assert np.isnan(zeros[2])
+    assert list(np.delete(zeros, 2)) == [bessel_first_zero(nu) for nu in np.delete(nus, 2)]
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -177,6 +222,34 @@ def test_closed_form_bound_n3_seam_is_continuous():
     hi = closed_form_bound(k, 3.0 + 1e-9, r0).value
     assert lo == pytest.approx(exact, rel=1e-6)
     assert hi == pytest.approx(exact, rel=1e-6)
+
+
+# Points of every closed form: K = 0, N = 3, N < 3, N > 3, and K = -1e6,
+# where sinh or s^2 overflows.
+_K = st.one_of(st.just(0.0), st.just(-1e6), st.floats(-60.0, 6.0))
+_N = st.one_of(st.just(3.0), st.floats(1.001, 3.0), st.floats(3.0, 60.0))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_K, _N), min_size=1, max_size=16), st.floats(0.05, 3.0))
+def test_closed_form_values_are_the_scalar_bounds(points, r0):
+    points = [(K, N) for K, N in points if r0 < max_diameter(K, N)]
+    if not points:
+        return
+    K, N = np.array(points).T
+    values = closed_form_values(K, N, r0, bessel_first_zeros(N / 2.0 - 1.0))
+    assert list(values) == [closed_form_bound(k, n, r0).value for k, n in points]
+
+
+def test_closed_form_values_mark_a_radius_too_small():
+    # closed_form_bound raises domain here; the array form gives no finite
+    # value, and no warning
+    K, N = np.array([0.0, -1.0, -1.0, -1.0]), np.array([5.0, 3.0, 2.5, 7.0])
+    zeros = bessel_first_zeros(N / 2.0 - 1.0)
+    for r0 in (1e-200, 1e-160):
+        with pytest.raises(PreconditionError, match="too small"):
+            closed_form_bound(-1.0, 7.0, r0)
+        assert not np.any(np.isfinite(closed_form_values(K, N, r0, zeros)))
 
 
 def test_closed_form_bound_domain_errors():

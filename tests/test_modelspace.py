@@ -91,6 +91,50 @@ def test_density_model_matches_function():
     assert h(0.7) == model_density(-1.5, 2.5, 0.7)
 
 
+def test_float_evaluation_is_the_array_evaluation_bit_for_bit():
+    # A float skips numpy's array set-up; it must still give the value that
+    # a one-point array gives, through the same numpy sin, sinh and power.
+    rng = np.random.default_rng(1912)
+    for _ in range(300):
+        K = float(rng.choice([0.0, rng.uniform(-40.0, 4.0), rng.uniform(-1e-7, 1e-7)]))
+        N = float(rng.uniform(1.05, 40.0))
+        h = Density.model(K, N, right=min(3.0, max_diameter(K, N)))
+        th = float(rng.uniform(0.0, h.right))
+        assert s_kappa(K / (N - 1.0), th) == s_kappa(K / (N - 1.0), np.array([th]))[0]
+        assert h(th) == model_density(K, N, th) == h(np.array([th]))[0]
+        assert type(h(th)) is float and type(s_kappa(K, th)) is float
+    # the diameter end, where the weight vanishes
+    d = max_diameter(2.0, 3.0)
+    assert model_density(2.0, 3.0, d) == model_density(2.0, 3.0, np.array([d]))[0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+def test_float_evaluation_keeps_the_theta_check(bad):
+    for call in (lambda: s_kappa(-1.0, bad), lambda: model_density(-1.0, 3.0, bad),
+                 lambda: Density.model(-1.0, 3.0, right=1.0)(bad)):
+        with pytest.raises(PreconditionError, match="theta must be finite") as exc:
+            call()
+        assert exc.value.code == "domain"
+
+
+def test_s_kappa_takes_an_array_of_curvatures():
+    kappas = np.array([-4.0, -1e-12, 0.0, 1e-12, 2.5])
+    got = s_kappa(kappas, 0.6)
+    assert got.shape == (5,)
+    assert list(got) == [s_kappa(float(k), 0.6) for k in kappas]
+
+
+def test_max_diameter_elementwise():
+    K = np.array([-1.0, 0.0, 2.0, 0.5])
+    N = np.array([3.0, 4.0, 3.0, 7.5])
+    assert list(max_diameter(K, N)) == [max_diameter(float(k), float(n)) for k, n in zip(K, N)]
+    with pytest.raises(PreconditionError, match="must exceed 1") as exc:
+        max_diameter(K, np.array([3.0, 1.0, 3.0, 3.0]))
+    assert exc.value.code == "domain"
+    with pytest.raises(PreconditionError, match="K must be finite"):
+        max_diameter(np.array([-1.0, -math.inf]), 3.0)
+
+
 def test_density_model_respects_diameter():
     with pytest.raises(PreconditionError):
         Density.model(2.0, 3.0, right=10.0)

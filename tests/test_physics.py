@@ -1,11 +1,12 @@
+import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cdeigen import eigensolve
-from cdeigen.bounds import closed_form_bound, neumann_upper_bound
+from cdeigen import eigensolve, physics
+from cdeigen.bounds import bessel_first_zero, closed_form_bound, neumann_upper_bound
 from cdeigen.cli import main
 from cdeigen.errors import NonconvergenceError, PreconditionError
 from cdeigen.modelspace import Density
@@ -218,6 +219,81 @@ def test_optimal_scan_failure_names_its_N(monkeypatch):
     assert f"N={bad_N:.17g}" in exc.value.message
     assert f"K(N)={kk_curvature(spec_a(), bad_N):.17g}" in exc.value.message
     assert "budget exhausted" in exc.value.message
+
+
+def _per_point_scan(spec, j, Ns, zeros):
+    f = physics._objective(spec, j, "closed_form", 1e-8)
+    return np.array([f(N) for N in Ns])
+
+
+@pytest.mark.parametrize("spec, j", [
+    (spec_a(), 1),
+    (spec_a(), 2),
+    (CompactificationSpec(D=7, d=3, Lambda=-0.5, sigma_w=0.0, diam=1.5), 1),
+    # K(N) > 0 puts r0 = 5 beyond the model diameter for N below about 50
+    (CompactificationSpec(D=6, d=4, Lambda=20.0, sigma_w=1.0, diam=10.0), 1),
+], ids=["default", "j=2", "sigma=0", "infeasible"])
+def test_optimal_scan_is_the_per_point_scan(monkeypatch, spec, j):
+    res = kk_mass_bound_optimal(spec, j, want_profile=True)
+    profile = [b for _, b in res.profile]
+    if spec.Lambda == 20.0:
+        assert math.inf in profile and any(math.isfinite(b) for b in profile)
+    monkeypatch.setattr(physics, "_closed_form_scan", _per_point_scan)
+    ref = kk_mass_bound_optimal(spec, j, want_profile=True)
+    assert (res.bound, res.N_star, res.K_star) == (ref.bound, ref.N_star, ref.K_star)
+    assert (res.bracketed, res.note) == (ref.bracketed, ref.note)
+    assert res.profile == ref.profile
+    assert res.bound == kk_mass_bound_at(spec, j, res.N_star, method="closed_form")
+
+
+@pytest.fixture
+def cold_zero_caches():
+    """Empty Bessel-zero caches before and after: the test feeds them J."""
+    bessel_first_zero.cache_clear()
+    physics._scan_grid.cache_clear()
+    yield
+    bessel_first_zero.cache_clear()
+    physics._scan_grid.cache_clear()
+
+
+def test_optimal_array_pass_failure_names_its_N(monkeypatch, cold_zero_caches):
+    import scipy.special
+
+    bad_N = 2.0 + float(np.geomspace(1e-3, 1998.0, 8)[3])
+    real_jv = scipy.special.jv
+    monkeypatch.setattr(scipy.special, "jv",
+                        lambda nu, x: np.where(nu == bad_N / 2.0 - 1.0, np.nan, real_jv(nu, x)))
+    with pytest.raises(NonconvergenceError) as exc:
+        kk_mass_bound_optimal(spec_a(), grid_points=8)
+    assert exc.value.code == "newton"
+    assert f"N={bad_N:.17g}" in exc.value.message
+    assert f"K(N)={kk_curvature(spec_a(), bad_N):.17g}" in exc.value.message
+
+
+@pytest.mark.parametrize("points, text", [
+    (9.99, "grid_points must be an integer"),
+    (7, "grid_points must lie in [8, "),
+    (physics._MAX_GRID_POINTS + 1, "grid_points must lie in [8, "),
+    (1e12, "grid_points must lie in [8, "),
+])
+def test_optimal_grid_points_validation(points, text):
+    with pytest.raises(PreconditionError) as exc:
+        kk_mass_bound_optimal(spec_a(), grid_points=points)
+    assert exc.value.code == "domain" and text in exc.value.message
+
+
+def test_optimal_takes_an_integral_float_grid_size():
+    assert kk_mass_bound_optimal(spec_a(), grid_points=24.0) == \
+        kk_mass_bound_optimal(spec_a(), grid_points=24)
+
+
+def test_cli_grid_points_beyond_the_cap_exits_two(capsys):
+    rc = main(["kk-bound", "--D", "6", "--d", "4", "--Lambda", "1", "--sigma", "2",
+               "--diam", "2", "--grid-points", "1000000000000"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "domain" and "grid_points" in error["message"]
 
 
 def test_default_kk_scan_solver_range(capsys):
