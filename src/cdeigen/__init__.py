@@ -20,8 +20,8 @@ _EXPORTS = {
                    "weighted_integral"),
     "bounds": ("BoundValue", "bessel_first_zero", "closed_form_bound",
                "essential_spectrum_threshold", "neumann_upper_bound"),
-    "comparison": ("ComparisonReport", "RigidityVerdict", "cd_density_family",
-                   "comparison_residual", "composed_tolerance", "rigidity_check"),
+    "comparison": ("ComparisonReport", "RigidityVerdict", "comparison_residual",
+                   "composed_tolerance", "rigidity_check"),
     "physics": ("CompactificationSpec", "KkBoundResult", "kk_curvature",
                 "kk_mass_bound_at", "kk_mass_bound_optimal"),
 }

@@ -133,12 +133,15 @@ def closed_form_bound(K: float, N: float, r0: float) -> BoundValue:
 
     Dispatch: K=0 gives the exact Bessel identity j_{N/2-1,1}^2 / r0^2; N=3
     gives the exact -K/2 + pi^2/r0^2; otherwise the N<3 or N>3 upper bound.
+    A radius whose ball does not fit inside the model (``ball_fits``) is a
+    ``domain`` error.
     """
-    d = _modelspace().max_diameter(K, N)
     if not (r0 > 0 and math.isfinite(r0)):
         raise PreconditionError("domain", f"r0 must be positive and finite, got {r0}")
-    if r0 >= d:
-        raise PreconditionError("domain", f"r0 = {r0} reaches the diameter bound {d}")
+    ms = _modelspace()
+    if not ms.ball_fits(K, N, r0):
+        raise PreconditionError("domain", f"r0 = {r0} must stay below (1 - 1e-12) times "
+                                          f"the diameter bound {ms.max_diameter(K, N)}")
     K, N = float(K), float(N)
     case = _case(K, N)
     # Every closed form has a term c / r0^2 with c >= (pi/2)^2: a radius
@@ -228,6 +231,20 @@ def mode_radius(diam: float, j: int) -> float:
     return diam / (2.0 * int(j))
 
 
+def _model_eigenvalue(method: str):
+    """lambda_{K,N,r0} by ``method`` as a function of (K, N, r0, solver_tol):
+    ``closed_form_bound``, or the matrix solve of ``Density.model(K, N)``.
+    An unknown method is rejected here, before any work."""
+    if method == "closed_form":
+        return lambda K, N, r0, tol: closed_form_bound(K, N, r0).value
+    if method != "solver":
+        raise PreconditionError("domain", f"unknown method {method!r}")
+    from .eigensolve import first_dirichlet_eigen
+
+    return lambda K, N, r0, tol: first_dirichlet_eigen(
+        _modelspace().Density.model(K, N), r0, tol=tol).eigenvalue
+
+
 def neumann_upper_bound(K: float, N: float, diam: float, j: int,
                         method: str = "closed_form", solver_tol: float = 1e-8) -> float:
     """Upper bound on the j-th Neumann eigenvalue of a space of diameter diam.
@@ -235,6 +252,7 @@ def neumann_upper_bound(K: float, N: float, diam: float, j: int,
     Evaluates the first Dirichlet eigenvalue at radius diam/(2j), by the
     eigensolver or by the closed-form dispatch.
     """
+    eigenvalue = _model_eigenvalue(method)
     if not (diam > 0 and math.isfinite(diam)):
         raise PreconditionError("hypothesis", f"diameter must be positive and finite, got {diam}")
     r0 = mode_radius(diam, j)
@@ -242,13 +260,7 @@ def neumann_upper_bound(K: float, N: float, diam: float, j: int,
     if diam > d * (1.0 + 1e-12):
         raise PreconditionError(
             "hypothesis", f"diameter {diam} exceeds the bound {d} forced by K = {K} > 0")
-    if method == "closed_form":
-        return closed_form_bound(K, N, r0).value
-    if method == "solver":
-        from .eigensolve import first_dirichlet_eigen
-        from .modelspace import Density
-        return first_dirichlet_eigen(Density.model(K, N), r0, tol=solver_tol).eigenvalue
-    raise PreconditionError("domain", f"unknown method {method!r}")
+    return eigenvalue(K, N, r0, solver_tol)
 
 
 def essential_spectrum_threshold(K: float, N: float) -> float:

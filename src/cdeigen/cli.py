@@ -407,24 +407,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 # ------------------------------------------------------------- config files
 
-def _extract_config(args: list[str]) -> tuple[str | None, list[str]]:
-    path = None
-    rest: list[str] = []
-    i = 0
-    while i < len(args):
-        item = args[i]
-        if item == "--config":
-            if i + 1 >= len(args):
-                raise PreconditionError("config", "--config requires a path")
-            path = args[i + 1]
-            i += 2
-        elif item.startswith("--config="):
-            path = item.split("=", 1)[1]
-            i += 1
-        else:
-            rest.append(item)
-            i += 1
-    return path, rest
+def _config_path(parser: argparse.ArgumentParser, args: list[str]) -> str | None:
+    """The config file that ``args`` name as ``parser`` reads its options,
+    in any spelling it accepts (``--conf PATH``, ``--config=PATH``).  The
+    pass stops at its first error, such as a required flag the file may yet
+    supply; the real parse, with the file's flags, reports what remains."""
+    ns = argparse.Namespace()
+
+    def stop(message):
+        raise argparse.ArgumentError(None, message)
+
+    parser.error = stop
+    try:
+        parser.parse_known_args(args, ns)
+    except argparse.ArgumentError:
+        pass
+    finally:
+        del parser.error
+    return getattr(ns, "config", None)
 
 
 def _read_config_pairs(path: str) -> list[tuple[str, str]]:
@@ -696,8 +696,8 @@ def main(argv=None) -> int:
         if args and args[0] == "sweep":
             return _run_sweep(*top.parse_known_args(args), commands)
         if args and args[0] in commands:
-            path, rest = _extract_config(args[1:])
-            args = args[:1] + _config_flags(commands[args[0]], path) + rest
+            command = commands[args[0]]
+            args[1:1] = _config_flags(command, _config_path(command, args[1:]))
         return _run_single(top.parse_args(args))
     except SystemExit as exc:
         code = exc.code

@@ -24,7 +24,7 @@ import numpy as np
 
 from .eigensolve import _cubic_hermite, first_dirichlet_eigen, weighted_integral
 from .errors import PreconditionError
-from .modelspace import Density, check_cd_density, max_diameter
+from .modelspace import Density, ball_fits, check_cd_density, max_diameter
 
 DEFAULT_SOLVER_TOL = 1e-8
 DEFAULT_QUAD_TOL = 1e-10
@@ -70,12 +70,9 @@ def _model_eigen_interpolant(K: float, N: float, r0: float, tol: float):
 
 
 def _validate_inputs(h: Density, K: float, N: float, r0: float, theta: float) -> None:
-    if not N > 1:
-        raise PreconditionError("domain", f"N must exceed 1, got {N}")
-    if not 0 < r0 < max_diameter(K, N):
-        raise PreconditionError(
-            "domain", f"r0 must lie in (0, {max_diameter(K, N)}), got {r0}"
-        )
+    if not (ball_fits(K, N, r0) and r0 > 0):
+        raise PreconditionError("domain", f"r0 must lie in (0, (1 - 1e-12) "
+                                          f"{max_diameter(K, N)}), got {r0}")
     if not 0 < theta <= r0:
         raise PreconditionError("domain", f"theta must lie in (0, r0], got {theta}")
     if h.right < r0 * (1.0 - 1e-12):
@@ -91,7 +88,8 @@ def comparison_residual(h: Density, K: float, N: float, r0: float, theta: float,
                         check_density: bool = True) -> ComparisonReport:
     """Evaluate both sides of the comparison inequality at theta.
 
-    The eigenpair always comes from the model density h_{K,N}; only the
+    The eigenpair always comes from the model density h_{K,N}, so the ball
+    of radius r0 must fit inside that model (``ball_fits``); only the
     measure in the two integrals is the general density h.  First h must
     pass ``check_cd_density`` on (0, r0) at its default per-node relative
     tolerance (only the nodes are tested when h interpolates in a dimension
@@ -161,28 +159,3 @@ def rigidity_check(h: Density, K: float, N: float, r0: float, tol: float,
                            max_relative_density_deviation=deviation,
                            relative_gap=report.relative_gap)
 
-
-def cd_density_family(K: float, N: float, r0: float, count: int = 6,
-                      spread: float = 2.0) -> list[Density]:
-    """Closed-form-verifiable CD(K,N) densities on [0, r0] for test sweeps.
-
-    Members are model densities h_{K',N} with K' >= K (CD(K,N) holds by
-    monotonicity of the sigma coefficients in the curvature parameter),
-    capped so that r0 stays inside the K' diameter bound, plus constant
-    densities when K <= 0.
-    """
-    if count < 1:
-        raise PreconditionError("domain", f"count must be positive, got {count}")
-    if not 0 < r0 < max_diameter(K, N):
-        raise PreconditionError("domain", f"r0 = {r0} infeasible for K={K}, N={N}")
-    hi = K + spread
-    cap = 0.9 * (N - 1.0) * (np.pi / r0) ** 2
-    hi = min(hi, cap)
-    if hi < K:
-        hi = K
-    members = [Density.model(kp, N) for kp in np.linspace(K, hi, count)]
-    if K <= 0:
-        flat_grid = np.linspace(0.0, r0, 3)
-        for level in (1.0, 0.37):
-            members.append(Density.sampled(flat_grid, np.full(3, level)))
-    return members

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from .errors import NonconvergenceError, PreconditionError
-from .modelspace import Density, max_diameter
+from .modelspace import Density, ball_fits, max_diameter
 
 # ------------------------------------------------------------------ quadrature
 # 15-point Kronrod extension of 7-point Gauss-Legendre (positive half).
@@ -292,16 +292,18 @@ def _validate_problem(h: Density, r0: float) -> None:
         raise PreconditionError("domain", f"r0 must be positive and finite, got {r0}")
     if r0 > h.right * (1.0 + 1e-12):
         raise PreconditionError("domain", f"r0 = {r0} exceeds the density domain [0, {h.right}]")
-    if h.kind == "model" and h.K > 0:
-        d = max_diameter(h.K, h.N)
-        if r0 >= d * (1.0 - 1e-12):
-            raise PreconditionError(
-                "domain", f"r0 = {r0} must stay strictly below the diameter bound {d}"
-            )
+    if h.kind == "model" and not ball_fits(h.K, h.N, r0):
+        raise PreconditionError("domain", f"r0 = {r0} must stay below (1 - 1e-12) times "
+                                          f"the diameter bound {max_diameter(h.K, h.N)}")
     if not h.positive_on_interior(r0):
         raise PreconditionError(
             "domain", "density vanishes at an interior sample node; the solver refuses"
         )
+
+
+def _validate_tol(tol: float) -> None:
+    if not (1e-12 < tol < 1e-3):
+        raise PreconditionError("domain", f"tol must lie in (1e-12, 1e-3), got {tol}")
 
 
 # ------------------------------------------------------------------ eigenpair
@@ -584,17 +586,19 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     and phi' from LSODA's own interpolant at the nodes of the first mesh,
     and applies the same 100*tol flux gate.  On model densities
     it agrees with the matrix route for K in [-5, 2], N in [1.05, 30] and r0
-    up to min(2.5, 0.9 * diameter).  It fails as N -> 2+ on the default
-    kk-bound curve (``flux`` or ``bracket``) and from N = 55 on
-    (``domain``: h(1e-6 r0) underflows to 0).  A weight whose values or
-    matrix entries overflow double precision on [0, r0], or underflow so
-    far that no mass is left, raises ``domain``; for a model weight the
-    message names K, N and r0.  So does a mesh whose element widths square
-    to 0 (a tiny r0), from ``assemble_weighted_problem``.
+    up to min(2.5, 0.9 * diameter), and on the default kk-bound curve for N
+    in [2.003, 88].  It fails as N -> 2+ on that curve (``flux`` at N =
+    2.001 and 2.0018) and from about N = 90 on (``flux``, the residual
+    rising with N; ``domain`` at N = 1000, where the flux check's integral
+    of phi h underflows).  A weight whose values or matrix entries overflow
+    double precision on [0, r0], or underflow so far that no mass is left,
+    raises ``domain``; for a model weight the message names K, N and r0.  So does a mesh whose element widths square
+    to 0 (a tiny r0), from ``assemble_weighted_problem``, and, for a model
+    weight, a radius whose ball does not fit inside the model
+    (``ball_fits``: r0 < (1 - 1e-12) times the diameter bound).
     """
     _validate_problem(h, r0)
-    if not (1e-12 < tol < 1e-3):
-        raise PreconditionError("domain", f"tol must lie in (1e-12, 1e-3), got {tol}")
+    _validate_tol(tol)
     if method not in ("matrix", "shooting"):
         raise PreconditionError("domain", f"unknown method {method!r}")
 
@@ -726,15 +730,13 @@ def _log_derivative(h: Density):
 
 def _shooting_machinery(h: Density, r0: float):
     """Start point eps0 = 1e-6 r0 of the shooting ODE and the integrator
-    from it.  The mass m([0, eps0]) and h(eps0) that set the start slope are
-    computed once here; a shooting solve shares the integrator between its
-    root search and its eigenfunction pass."""
+    from it, shared by a solve's root search and eigenfunction pass.  The
+    start slope is the Frobenius term phi'(eps0) = -lambda eps0 / (1 + eps0
+    (log h)'(eps0)), the flux identity's -lambda eps0 / (1 + p) where h ~
+    theta^p; it needs no value of h, which underflows at large N."""
     eps0 = r0 * 1e-6
-    mass0 = weighted_integral(1.0, h, 0.0, eps0, rel_tol=1e-10)
-    heps = float(h(eps0))
-    if not heps > 0:
-        raise PreconditionError("domain", "density vanishes at the shooting start point")
     dlog = _log_derivative(h)
+    start = eps0 / (1.0 + eps0 * dlog(eps0))
 
     def integrate(lam, t_eval=None):
         """Integrate (phi - 1, phi') from eps0 to r0, from phi(eps0) = 1, and
@@ -750,8 +752,7 @@ def _shooting_machinery(h: Density, r0: float):
         def rhs(t, y):
             return (y[1], -lam * (1.0 + y[0]) - dlog(t) * y[1])
 
-        # Initial slope from the flux identity: phi' (eps) = -lam m([0,eps]) / h(eps).
-        ivp = solve_ivp(rhs, (eps0, r0), [0.0, -lam * mass0 / heps], t_eval=t_eval,
+        ivp = solve_ivp(rhs, (eps0, r0), [0.0, -lam * start], t_eval=t_eval,
                         rtol=1e-11, atol=1e-13)
         if not ivp.success:
             raise NonconvergenceError(
@@ -772,9 +773,9 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8, *, integrate=
     phi'' + (log h)' phi' + lambda phi = 0 is integrated from eps0 = 1e-6 r0
     to r0 by LSODA (Adams/BDF, rtol 1e-11, atol 1e-13, through
     ``scipy.integrate.odeint``, never stepping past r0), starting from
-    phi(eps0) = 1 and the flux identity phi'(eps0) = -lambda m([0, eps0]) /
-    h(eps0).  Brent's method finds the root to xtol tol * bracket[0]; each
-    trial lambda is integrated once.  Raises ``bracket`` when phi(r0) has
+    phi(eps0) = 1 and the Frobenius term phi'(eps0) = -lambda eps0 / (1 +
+    eps0 (log h)'(eps0)).  Brent's method finds the root to xtol
+    tol * bracket[0]; each trial lambda is integrated once.  Raises ``bracket`` when phi(r0) has
     one sign at both ends, ``stiffness`` when LSODA fails or ends at a
     non-finite state, and ``shooting`` when |phi(r0)| stays above 100*tol.
     ``integrate`` is the integrator of ``_shooting_machinery(h, r0)``, built
@@ -784,8 +785,7 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8, *, integrate=
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi) or not math.isfinite(hi):
         raise PreconditionError("bracket", f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    if not (1e-12 < tol < 1e-3):
-        raise PreconditionError("domain", f"tol must lie in (1e-12, 1e-3), got {tol}")
+    _validate_tol(tol)
 
     from scipy.optimize import brentq
 

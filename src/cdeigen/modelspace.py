@@ -53,14 +53,17 @@ def s_kappa(kappa, theta):
 
     sin(sqrt(k) x)/sqrt(k) for k > 0, x for k = 0, sinh(sqrt(-k) x)/sqrt(-k)
     for k < 0.  Accepts scalar or array theta >= 0, and scalar or array
-    kappa, elementwise.  Floats give a float, through the same numpy sin
-    and sinh as an array.
+    kappa, elementwise; a NaN or infinite kappa is a ``domain`` error.
+    Floats give a float, through the same numpy sin and sinh as an array.
     """
     th = _as_theta(theta)
     if isinstance(kappa, np.ndarray) and kappa.ndim:
+        if not np.all(np.isfinite(kappa)):
+            require_finite(kappa=float(kappa[~np.isfinite(kappa)][0]))
         kappa, th = np.broadcast_arrays(kappa, th)
     else:
         kappa = float(kappa)
+        require_finite(kappa=kappa)
     x2 = kappa * th * th
     if isinstance(x2, float):
         if abs(x2) < _SERIES_CUTOFF:
@@ -95,7 +98,8 @@ def max_diameter(K, N):
             max_diameter(float(K.flat[i]), float(N.flat[i]))  # raises its domain error
         d = np.full(K.shape, math.inf)
         pos = K > 0
-        d[pos] = math.pi * np.sqrt((N[pos] - 1) / K[pos])
+        with np.errstate(over="ignore"):  # a tiny K gives inf, as for a float
+            d[pos] = math.pi * np.sqrt((N[pos] - 1) / K[pos])
         return d
     require_finite(K=K, N=N)
     if N <= 1:
@@ -103,6 +107,14 @@ def max_diameter(K, N):
     if K > 0:
         return math.pi * math.sqrt((N - 1) / K)
     return math.inf
+
+
+def ball_fits(K, N, r0):
+    """Whether the Dirichlet ball of radius r0 fits inside the (K, N) model,
+    r0 < (1 - 1e-12) max_diameter(K, N): the one rule of the solver, the
+    closed form, the comparison and the Kaluza-Klein objective.  Closer to
+    the diameter the matrix route fails.  Elementwise for arrays."""
+    return r0 < (1.0 - 1e-12) * max_diameter(K, N)
 
 
 def model_density(K: float, N: float, theta):

@@ -29,9 +29,9 @@ import numpy as np
 # scan that misses the Bessel-zero cache.
 import scipy.special  # noqa: F401
 
-from .bounds import bessel_first_zeros, closed_form_bound, closed_form_values, mode_radius
+from .bounds import _model_eigenvalue, bessel_first_zeros, closed_form_values, mode_radius
 from .errors import NonconvergenceError, PreconditionError
-from .modelspace import Density, max_diameter
+from .modelspace import ball_fits, max_diameter
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest N-scan grid.  It bounds a scan's memory and that of the cached
@@ -96,22 +96,18 @@ def kk_mass_bound_at(spec: CompactificationSpec, j: int, N: float,
 
     method="solver" evaluates lambda_{K(N),N,r0} with the eigensolver;
     method="closed_form" uses the explicit bound formulas, which are exact
-    only at K = 0 or N = 3 and otherwise valid but possibly weaker.
+    only at K = 0 or N = 3 and otherwise valid but possibly weaker.  An N
+    whose ball of radius r0 = diam/(2j) does not fit inside the (K(N), N)
+    model (``ball_fits``) is ``infeasible``, by either method.
     """
-    if method not in ("solver", "closed_form"):
-        raise PreconditionError("domain", f"unknown method {method!r}")
+    eigenvalue = _model_eigenvalue(method)
     K = kk_curvature(spec, N)
     r0 = mode_radius(spec.diam, j)
-    if K > 0 and r0 >= max_diameter(K, N):
+    if not ball_fits(K, N, r0):
         raise PreconditionError(
-            "infeasible",
-            f"r0 = {r0} reaches the model diameter {max_diameter(K, N)} at N={N}",
-        )
-    if method == "closed_form":
-        return closed_form_bound(K, N, r0).value
-    from .eigensolve import first_dirichlet_eigen
-
-    return first_dirichlet_eigen(Density.model(K, N), r0, tol=solver_tol).eigenvalue
+            "infeasible", f"r0 = {r0} must stay below (1 - 1e-12) times the model "
+                          f"diameter {max_diameter(K, N)} at N={N}")
+    return eigenvalue(K, N, r0, solver_tol)
 
 
 @dataclass(frozen=True)
@@ -164,11 +160,12 @@ def _scan_grid(n: int, points: int):
 
 def _closed_form_scan(spec: CompactificationSpec, j: int, Ns, zeros):
     """``kk_mass_bound_at(spec, j, N, method="closed_form")`` at every N of an
-    array in one pass, bit for bit: +inf where K(N) > 0 puts r0 at or beyond
-    the model diameter, NaN where the closed form fails."""
+    array in one pass, bit for bit: +inf where the ball of radius r0 does
+    not fit inside the model (``ball_fits``), NaN where the closed form
+    fails."""
     K = kk_curvature(spec, Ns)
     r0 = mode_radius(spec.diam, j)
-    feasible = ~((K > 0) & (r0 >= max_diameter(K, Ns)))
+    feasible = ball_fits(K, Ns, r0)
     vals = np.full(Ns.shape, math.inf)
     v = closed_form_values(K[feasible], Ns[feasible], r0, zeros[feasible])
     vals[feasible] = np.where(np.isfinite(v), v, np.nan)
@@ -184,10 +181,11 @@ def kk_mass_bound_optimal(spec: CompactificationSpec, j: int = 1,
     A logarithmic grid of ``grid_points`` values of u = N - (D-d) from 1e-3
     up (an integer in [8, ``_MAX_GRID_POINTS``]) brackets the minimum;
     golden-section search in log u refines it to relative tolerance
-    ``golden_tol``.  N values whose K(N) > 0 puts r0 beyond the model
-    diameter are infeasible and excluded (treated as +inf).  The closed-form
-    grid is valued in one array pass, with the values ``kk_mass_bound_at``
-    gives point by point; the solver's is solved point by point.
+    ``golden_tol``.  N values whose ball of radius r0 does not fit inside
+    the model (``ball_fits``) are infeasible and excluded (treated as +inf).
+    The closed-form grid is valued in one array pass, with the values
+    ``kk_mass_bound_at`` gives point by point; the solver's is solved point
+    by point.
     """
     if not (math.isfinite(grid_points) and float(grid_points).is_integer()):
         raise PreconditionError("domain", f"grid_points must be an integer, got {grid_points}")

@@ -21,8 +21,8 @@ from cdeigen.bounds import (
     neumann_upper_bound,
 )
 from cdeigen.cli import load_density_csv, main, write_density_csv
+from cd_family import cd_density_family
 from cdeigen.comparison import (
-    cd_density_family,
     comparison_residual,
     composed_tolerance,
     rigidity_check,

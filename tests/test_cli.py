@@ -187,6 +187,25 @@ def test_check_density_flags_violation(capsys, tmp_path):
     assert 0 < doc["result"]["witness_theta"] < 1.5
 
 
+def test_check_density_interval(capsys, tmp_path):
+    dens = write_model_csv(tmp_path / "m.csv", -1.0, 3.0, right=1.5)
+    argv = ["check-density", "--csv", str(dens), "--K", "-1", "--N", "3", "--interp-dim", "3"]
+    rc, out, _ = run_cli(capsys, *argv)
+    whole = json.loads(out)["diagnostics"]["triples_checked"]
+    rc, out, _ = run_cli(capsys, *argv, "--interval", "0.5,1.0")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["result"]["satisfied"] is True
+    # only the nodes inside (0.5, 1.0), a third of the 398 interior ones
+    assert 0 < doc["diagnostics"]["triples_checked"] < whole / 2
+    for text, message in (("0.5", "expects 'a,b'"), ("0.5,1,2", "expects 'a,b'"),
+                          ("a,b", "expects numbers"), ("0.5,", "expects numbers")):
+        rc, out, err = run_cli(capsys, *argv, f"--interval={text}")
+        assert (rc, out) == (2, ""), text
+        error = json.loads(err)["error"]
+        assert error["code"] == "domain" and message in error["message"], text
+
+
 def test_kk_bound_profile_rows(capsys):
     rc, out, _ = run_cli(capsys, "kk-bound", "--D", "6", "--d", "4",
                          "--Lambda", "1", "--sigma", "2", "--diam", "2",
@@ -336,6 +355,27 @@ def test_config_malformed_line_rejected(capsys, tmp_path):
     assert "line 2" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("spelling", ["--conf PATH", "--conf=PATH", "--config=PATH"])
+def test_config_path_in_any_spelling_the_parser_accepts(capsys, tmp_path, spelling):
+    # the file supplies the required --K; -4 makes lambda = 2 + pi^2 at N = 3, r0 = 1
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("K = -4\n")
+    flag = spelling.replace("PATH", str(cfg)).split(" ")
+    rc, out, err = run_cli(capsys, "model-eigen", *flag, "--N", "3", "--r0", "1")
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["inputs"]["K"] == -4.0
+    assert doc["result"]["lambda"] == pytest.approx(2.0 + math.pi ** 2, rel=1e-8)
+    # a flag on the command line still overrides the file
+    rc, out, _ = run_cli(capsys, "model-eigen", *flag, "--K", "0", "--N", "3", "--r0", "1")
+    assert json.loads(out)["inputs"]["K"] == 0.0
+    rc, out, err = run_cli(capsys, "sweep", "model-eigen", "--over", "r0", "--start", "1",
+                           "--stop", "2", "--count", "2", "--N", "3", *flag)
+    assert rc == 0, err
+    lam = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    assert lam == pytest.approx([2.0 + math.pi ** 2, 2.0 + math.pi ** 2 / 4.0], rel=1e-8)
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_values_and_order(capsys):
@@ -457,6 +497,25 @@ def test_sweep_count_edge_cases(capsys):
                          "--N", "3")
     assert rc == 2
     assert json.loads(err)["error"]["code"] == "domain"
+
+
+def test_sweep_human_table(capsys, monkeypatch):
+    monkeypatch.setenv("NO_COLOR", "1")
+    argv = ["sweep", "ess-spectrum", "--over", "K", "--start", "-4", "--stop", "1",
+            "--count", "3", "--N", "3", "--format", "human"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    error = "hypothesis: hypothesis K <= 0 violated: got K = 1.0"
+    assert [line.rstrip() for line in out.split("\n")] == [
+        "K     threshold  error",
+        "-4    2",
+        "-1.5  0.75",
+        "1" + " " * 16 + error,
+        "",
+    ]
+    argv[argv.index("--count") + 1] = "0"
+    rc, out, _ = run_cli(capsys, *argv)
+    assert (rc, out) == (0, "(empty sweep)\n")
 
 
 def test_sweep_reaches_a_negative_start_in_exponent_form(capsys):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cd_family import cd_density_family
 from cdeigen.comparison import (
     ComparisonReport,
     RigidityVerdict,
-    cd_density_family,
     comparison_residual,
     composed_tolerance,
     rigidity_check,

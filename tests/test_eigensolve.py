@@ -420,6 +420,17 @@ def _kk_curve(N):
     return Density.model(1.0 - (N + 2.0) / (N - 2.0), N)
 
 
+@pytest.mark.parametrize("N", [55.0, 70.0])
+def test_shooting_starts_where_the_weight_underflows(N):
+    # h(1e-6 r0) underflows to 0 here; the Frobenius start slope
+    # -lambda eps / (1 + eps (log h)'(eps)) needs only (log h)'
+    h = _kk_curve(N)
+    assert h(1e-6) == 0.0
+    shot = first_dirichlet_eigen(h, 1.0, method="shooting")
+    assert shot.flux_residual <= 100.0 * 1e-8
+    assert shot.eigenvalue == pytest.approx(first_dirichlet_eigen(h, 1.0).eigenvalue, rel=1e-6)
+
+
 @pytest.mark.parametrize("N", [100.0, 300.0, 1000.0, 2000.0])
 def test_cut_below_the_mass_keeps_the_eigenvalue(monkeypatch, N):
     # at large N all but 1e-16 of h phi^2 lies near r0: after the first

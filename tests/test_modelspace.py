@@ -1,22 +1,27 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cd_family import cd_density_family
 from cd_lattice import lattice_scan, sigma_coeff
-from cdeigen.comparison import cd_density_family, comparison_residual
-from cdeigen.eigensolve import _log_derivative
+from cdeigen.bounds import closed_form_bound
+from cdeigen.comparison import comparison_residual
+from cdeigen.eigensolve import _log_derivative, first_dirichlet_eigen
 from cdeigen.errors import PreconditionError
 from cdeigen.modelspace import (
     CdCheckReport,
     Density,
+    ball_fits,
     check_cd_density,
     max_diameter,
     model_density,
     s_kappa,
 )
+from cdeigen.physics import CompactificationSpec, kk_mass_bound_at
 
 
 def test_s_kappa_branches():
@@ -122,6 +127,60 @@ def test_s_kappa_takes_an_array_of_curvatures():
     got = s_kappa(kappas, 0.6)
     assert got.shape == (5,)
     assert list(got) == [s_kappa(float(k), 0.6) for k in kappas]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_kappa_is_a_domain_error(bad):
+    # no NaN and no RuntimeWarning: a coded error naming kappa
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kappa in (bad, np.array([1.0, bad, -1.0])):
+            with pytest.raises(PreconditionError, match="^kappa must be finite") as exc:
+                s_kappa(kappa, 1.0)
+            assert exc.value.code == "domain"
+
+
+def test_ball_fits_at_positive_curvature():
+    # (K, N) = (2, 3): the diameter is pi, lambda = -1 + pi^2/r0^2 in closed form
+    d = max_diameter(2.0, 3.0)
+    inside, band = (1.0 - 1e-11) * d, (1.0 - 5e-13) * d
+    assert ball_fits(2.0, 3.0, inside) and not ball_fits(2.0, 3.0, band)
+    assert not ball_fits(2.0, 3.0, d) and not ball_fits(2.0, 3.0, math.nan)
+    assert ball_fits(-1.0, 3.0, 1e300) and ball_fits(0.0, 3.0, 1e300)
+
+    h = Density.model(2.0, 3.0)
+    for call in (lambda: first_dirichlet_eigen(h, band),
+                 lambda: closed_form_bound(2.0, 3.0, band),
+                 lambda: comparison_residual(h, 2.0, 3.0, band, band)):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert exc.value.code == "domain"
+
+    # sigma = 0 keeps K(N) = Lambda = 2, and at j = 1 the radius is diam/2
+    def spec(r0):
+        return CompactificationSpec(D=4, d=2, Lambda=2.0, sigma_w=0.0, diam=2.0 * r0)
+
+    for method in ("closed_form", "solver"):
+        with pytest.raises(PreconditionError) as exc:
+            kk_mass_bound_at(spec(band), 1, 3.0, method=method)
+        assert exc.value.code == "infeasible"
+    value = closed_form_bound(2.0, 3.0, inside).value
+    assert value > 0
+    assert kk_mass_bound_at(spec(inside), 1, 3.0, method="closed_form") == value
+
+
+_NEAR_EDGE = st.sampled_from([-1e-13, 0.0, 2e-13, 5e-13, 1e-12, 1.5e-12, 1e-11, 0.5])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(1.01, 20.0), _NEAR_EDGE),
+                min_size=1, max_size=12))
+def test_ball_fits_array_form_is_the_scalar_rule(points):
+    # radii at and around (1 - 1e-12) of each positive-curvature diameter
+    K, N, f = (np.array(a) for a in zip(*points))
+    r0 = float(np.min(np.where(K > 0, (1.0 - f) * max_diameter(K, N), 1.0)))
+    assert list(ball_fits(K, N, r0)) == [ball_fits(float(k), float(n), r0)
+                                         for k, n in zip(K, N)]
 
 
 def test_max_diameter_elementwise():

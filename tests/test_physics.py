@@ -4,12 +4,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdeigen import eigensolve, physics
-from cdeigen.bounds import bessel_first_zero, closed_form_bound, neumann_upper_bound
+from cdeigen.bounds import (
+    bessel_first_zero,
+    bessel_first_zeros,
+    closed_form_bound,
+    neumann_upper_bound,
+)
 from cdeigen.cli import main
 from cdeigen.errors import NonconvergenceError, PreconditionError
-from cdeigen.modelspace import Density
+from cdeigen.modelspace import Density, ball_fits
 from cdeigen.eigensolve import first_dirichlet_eigen
 from cdeigen.physics import (
     CompactificationSpec,
@@ -244,6 +251,25 @@ def test_optimal_scan_is_the_per_point_scan(monkeypatch, spec, j):
     assert (res.bracketed, res.note) == (ref.bracketed, ref.note)
     assert res.profile == ref.profile
     assert res.bound == kk_mass_bound_at(spec, j, res.N_star, method="closed_form")
+
+
+_EDGE = st.sampled_from([-1e-13, 0.0, 2e-13, 5e-13, 1e-12, 1.5e-12, 1e-11])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(Lambda=st.floats(0.1, 20.0), N0=st.floats(1.5, 12.0), f=_EDGE,
+       Ns=st.lists(st.floats(1.01, 40.0), min_size=1, max_size=24), j=st.integers(1, 3))
+def test_scan_mask_is_the_scalar_rule(Lambda, N0, f, Ns, j):
+    # sigma = 0 keeps K(N) = Lambda > 0; r0 = diam/(2j) sits at (1 - f) times
+    # the diameter at N0, which is one of the scanned N
+    d0 = math.pi * math.sqrt((N0 - 1.0) / Lambda)
+    spec = CompactificationSpec(D=3, d=2, Lambda=Lambda, sigma_w=0.0,
+                                diam=2.0 * j * (1.0 - f) * d0)
+    Ns = np.array(Ns + [N0])
+    r0 = spec.diam / (2.0 * j)
+    vals = physics._closed_form_scan(spec, j, Ns, bessel_first_zeros(Ns / 2.0 - 1.0))
+    rule = [ball_fits(kk_curvature(spec, float(N)), float(N), r0) for N in Ns]
+    assert list(~np.isposinf(vals)) == rule
 
 
 @pytest.fixture
