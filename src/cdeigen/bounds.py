@@ -8,7 +8,8 @@ J_nu'' from Bessel's equation: two evaluations of J a step.  It starts from
 an Airy-type expansion for nu > 10, otherwise at 0.42 of the way from the
 lower bound sqrt((nu+1)(nu+5)) to the upper one.  At most four steps meet
 the 1e-12 relative contract of ``bessel_first_zero`` for orders in
-(-1, 1e5]; the result is checked against the bracket.
+(-1, 1e5]; the result is checked against the bracket.  Where e = nu + 1 is
+below 1e-4, the zero is its small-order expansion instead, with no J at all.
 
 The start, the step and the bracket test are each defined once.
 ``bessel_first_zero`` iterates one order on floats, and ``bessel_first_zeros``
@@ -39,6 +40,19 @@ def _modelspace():
     from . import modelspace
 
     return modelspace
+
+
+# Below this e = nu + 1 the first zero is 2 sqrt(e) (1 + e/4 - 7 e^2/96 +
+# 49 e^3/1152 - ...): e Gamma(nu + 1) (x/2)^(-nu) J_nu(x) is the series
+# e - z + z^2/(2(1 + e)) - z^3/(6(1 + e)(2 + e)) + ... in z = x^2/4, whose
+# smallest root is z = e + e^2/2 - e^3/12 + ....  Cut after the e^2 term,
+# the expansion errs by under 49/1152 e^3 < 4.3e-14 relative.
+_SMALL_ORDER = 1e-4
+
+
+def _small_order_zero(e: float) -> float:
+    """j_{nu,1} for e = nu + 1 in (0, _SMALL_ORDER), by its expansion."""
+    return 2.0 * math.sqrt(e) * (1.0 + e * (0.25 - 7.0 / 96.0 * e))
 
 
 def _halley_start(nu: float) -> float:
@@ -78,6 +92,8 @@ def bessel_first_zero(nu: float) -> float:
     nu = float(nu)
     if not nu > -1.0:
         raise PreconditionError("domain", f"order must exceed -1, got {nu}")
+    if nu + 1.0 < _SMALL_ORDER:
+        return _small_order_zero(nu + 1.0)
     from scipy.special import jv
 
     x = _halley_start(nu)
@@ -97,21 +113,25 @@ def bessel_first_zeros(nu):
     """``bessel_first_zero`` over a 1-d array of orders nu > -1, bit for bit,
     with NaN where that raises ``newton``.  Each order stops at its own first
     step shorter than 1e-13 of its zero, so its zero does not depend on the
-    other orders of the batch."""
+    other orders of the batch; an order below the switch takes the same
+    float expansion."""
     import numpy as np
     from scipy.special import jv
 
     nu = np.asarray(nu, dtype=float)
-    x = np.array([_halley_start(v) for v in nu.tolist()])
+    e = nu + 1.0
+    small = e < _SMALL_ORDER
     zeros = np.full(nu.size, np.nan)
-    live = np.arange(nu.size)
+    zeros[small] = [_small_order_zero(v) for v in e[small].tolist()]
+    live = np.flatnonzero(~small)
+    x = np.array([_halley_start(v) for v in nu[live].tolist()])
     for _ in range(8):
+        if not live.size:
+            break
         x, done = _halley_step(jv, nu[live], x)
         zeros[live[done]] = x[done]
         live, x = live[~done], x[~done]
-        if not live.size:
-            break
-    return np.where(_in_bracket(nu, zeros), zeros, np.nan)
+    return np.where(small | _in_bracket(nu, zeros), zeros, np.nan)
 
 
 @dataclass(frozen=True)

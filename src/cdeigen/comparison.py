@@ -11,8 +11,12 @@ least-squares scale fit.
 
 Between the nodes of the model solution, phi and phi' are the value and the
 derivative of one C^1 cubic Hermite interpolant of the solution's nodal
-(phi, phi'), the same one the flux-identity check integrates.  Only numpy
-and ``scipy.linalg`` (through the matrix eigensolver) are loaded.
+(phi, phi'), the same one the flux-identity check integrates.  Both sides
+are integrated in one adaptive Gauss-Kronrod pass: each point gets one
+evaluation of h and one lookup of the interpolant, which gives phi and phi'
+together, and the partition is refined until each side meets the
+quadrature tolerance.  Only numpy and ``scipy.linalg`` (through the matrix
+eigensolver) are loaded.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eigensolve import _cubic_hermite, first_dirichlet_eigen, weighted_integral
+from .eigensolve import _cubic_hermite, _weighted_integrals, first_dirichlet_eigen
 from .errors import PreconditionError
 from .modelspace import Density, ball_fits, check_cd_density, max_diameter
 
@@ -106,9 +110,13 @@ def comparison_residual(h: Density, K: float, N: float, r0: float, theta: float,
                 f"at node theta = {report.witness}",
             )
     lam, phi = _model_eigen_interpolant(float(K), float(N), float(r0), float(solver_tol))
-    lhs = weighted_integral(lambda t: phi(t, derivative=True) ** 2, h, 0.0, theta,
-                            rel_tol=quad_tol)
-    rhs = lam * weighted_integral(lambda t: phi(t) ** 2, h, 0.0, theta, rel_tol=quad_tol)
+
+    def squares(t):
+        p, dp = phi(t)
+        return np.stack((dp * dp, p * p))
+
+    lhs, rhs = _weighted_integrals(squares, h, 0.0, theta, quad_tol).tolist()
+    rhs *= lam
     gap = rhs - lhs
     if rhs <= 0:
         raise PreconditionError("domain", "right-hand integral vanished; degenerate density")

@@ -28,24 +28,54 @@ _SERIES_CUTOFF = 1e-8
 
 
 def _as_theta(theta):
-    """theta as a float, or as a float array when it has a dimension; finite
-    and nonnegative.  A float skips numpy's array set-up, which costs more
-    than the evaluation at one point."""
+    """theta as a float, or as a float array when it has a dimension, with
+    its largest value (0 for an empty array); finite and nonnegative, which
+    the array's smallest and largest values tell.  A float skips numpy's
+    array set-up, which costs more than the evaluation at one point."""
     if not isinstance(theta, (float, int)):
         th = np.asarray(theta, dtype=float)
         if th.ndim:
-            if np.any(th < 0) or np.any(~np.isfinite(th)):
+            top = float(th.max(initial=0.0))
+            if not (th.min(initial=0.0) >= 0.0 and math.isfinite(top)):
                 raise PreconditionError("domain", "theta must be finite and nonnegative")
-            return th
+            return th, top
     th = float(theta)
     if not (th >= 0.0 and math.isfinite(th)):
         raise PreconditionError("domain", "theta must be finite and nonnegative")
-    return th
+    return th, th
 
 
 def _series(x2, th):
     """Taylor form of s_kappa(theta) in x2 = kappa theta^2, for |x2| < _SERIES_CUTOFF."""
     return th * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)))
+
+
+def _sine(kappa, th):
+    """s_kappa at a checked theta: the one evaluation behind ``s_kappa`` and
+    the model weight.  ``kappa`` is a finite float, or a finite array of the
+    shape of the array ``th``.  An array takes sin (kappa > 0) or sinh
+    (kappa < 0) of sqrt|kappa| theta at every entry, and the Taylor form is
+    patched in only where |kappa| theta^2 < _SERIES_CUTOFF; each entry gets
+    the value it gets as a float."""
+    x2 = kappa * th * th
+    if isinstance(x2, float):
+        if abs(x2) < _SERIES_CUTOFF:
+            return _series(x2, th)
+        rk = math.sqrt(abs(kappa))
+        return float((np.sin if kappa > 0 else np.sinh)(rk * th) / rk)
+    if isinstance(kappa, float):
+        if kappa == 0.0:
+            return _series(x2, th)
+        rk = math.sqrt(abs(kappa))
+        out = (np.sin if kappa > 0 else np.sinh)(rk * th) / rk
+    else:
+        out = np.empty(x2.shape)  # kappa = 0 gives the Taylor form everywhere
+        for sine, part in ((np.sin, kappa > 0), (np.sinh, kappa < 0)):
+            rk = np.sqrt(np.abs(kappa[part]))
+            out[part] = sine(rk * th[part]) / rk
+    small = np.nonzero(np.abs(x2) < _SERIES_CUTOFF)
+    out[small] = _series(x2[small], th[small])
+    return out
 
 
 def s_kappa(kappa, theta):
@@ -56,7 +86,7 @@ def s_kappa(kappa, theta):
     kappa, elementwise; a NaN or infinite kappa is a ``domain`` error.
     Floats give a float, through the same numpy sin and sinh as an array.
     """
-    th = _as_theta(theta)
+    th, _ = _as_theta(theta)
     if isinstance(kappa, np.ndarray) and kappa.ndim:
         if not np.all(np.isfinite(kappa)):
             require_finite(kappa=float(kappa[~np.isfinite(kappa)][0]))
@@ -64,25 +94,7 @@ def s_kappa(kappa, theta):
     else:
         kappa = float(kappa)
         require_finite(kappa=kappa)
-    x2 = kappa * th * th
-    if isinstance(x2, float):
-        if abs(x2) < _SERIES_CUTOFF:
-            return _series(x2, th)
-        rk = math.sqrt(abs(kappa))
-        return float((np.sin if kappa > 0 else np.sinh)(rk * th) / rk)
-    out = np.empty(x2.shape)
-    small = np.abs(x2) < _SERIES_CUTOFF
-    out[small] = _series(x2[small], th[small])
-    big = ~small
-    if isinstance(kappa, float):
-        if np.any(big):
-            rk = math.sqrt(abs(kappa))
-            out[big] = (np.sin if kappa > 0 else np.sinh)(rk * th[big]) / rk
-    else:
-        for sine, part in ((np.sin, big & (kappa > 0)), (np.sinh, big & (kappa < 0))):
-            rk = np.sqrt(np.abs(kappa[part]))
-            out[part] = sine(rk * th[part]) / rk
-    return out
+    return _sine(kappa, th)
 
 
 def max_diameter(K, N):
@@ -117,6 +129,25 @@ def ball_fits(K, N, r0):
     return r0 < (1.0 - 1e-12) * max_diameter(K, N)
 
 
+def _model_weight(K: float, N: float, th, top: float):
+    """h_{K,N} at a checked theta (a float, or an array whose largest value
+    is ``top``) at most 1e-12 relative past the diameter bound d: 0 at and
+    past d, max(s_kappa(theta), 0)^(N-1) before it.  The one evaluation
+    behind ``model_density`` and ``Density.__call__``."""
+    d = max_diameter(K, N)
+    kappa = K / (N - 1)
+    if isinstance(th, float):
+        if th >= d:
+            return 0.0
+        # np.power is the array's ``**``; ``**`` on a numpy scalar is libm's pow.
+        return float(np.power(np.maximum(_sine(kappa, th), 0.0), N - 1))
+    if top < d:
+        return np.maximum(_sine(kappa, th), 0.0) ** (N - 1)
+    out = np.maximum(_sine(kappa, np.minimum(th, d)), 0.0) ** (N - 1)
+    out[th >= d] = 0.0
+    return out
+
+
 def model_density(K: float, N: float, theta):
     """Model weight h_{K,N}(theta) = s_{K/(N-1)}(theta)^(N-1).
 
@@ -124,19 +155,12 @@ def model_density(K: float, N: float, theta):
     diameter bound.  Evaluation past the diameter bound is an error.
     """
     d = max_diameter(K, N)
-    th = _as_theta(theta)
-    scalar = isinstance(th, float)
-    if (th if scalar else np.max(th, initial=0.0)) > d * (1.0 + 1e-12):
+    th, top = _as_theta(theta)
+    if top > d * (1.0 + 1e-12):
         raise PreconditionError(
             "domain", f"theta beyond the diameter bound {d} for K={K}, N={N}"
         )
-    if scalar:
-        if th >= d:
-            return 0.0
-        # np.power is the array's ``**``; ``**`` on a numpy scalar is libm's pow.
-        return float(np.power(np.maximum(s_kappa(K / (N - 1), th), 0.0), N - 1))
-    s = s_kappa(K / (N - 1), np.minimum(th, d))
-    return np.where(th >= d, 0.0, np.maximum(s, 0.0) ** (N - 1))
+    return _model_weight(K, N, th, top)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,15 +232,17 @@ class Density:
         )
 
     def __call__(self, theta):
-        th = _as_theta(theta)
-        scalar = isinstance(th, float)
-        if (th if scalar else np.max(th, initial=0.0)) > self.right * (1.0 + 1e-12):
+        th, top = _as_theta(theta)
+        if top > self.right * (1.0 + 1e-12):
             raise PreconditionError(
                 "domain", f"evaluation outside the density domain [0, {self.right}]"
             )
-        th = min(th, self.right) if scalar else np.minimum(th, self.right)
+        scalar = isinstance(th, float)
+        if top > self.right:
+            th = min(th, self.right) if scalar else np.minimum(th, self.right)
+            top = self.right
         if self.kind == "model":
-            return model_density(self.K, self.N, th)
+            return _model_weight(self.K, self.N, th, top)
         out = np.interp(th, self.grid, self.g_values) ** (self.interp_dim - 1.0)
         return float(out) if scalar else out
 

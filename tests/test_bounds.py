@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import jv
 
+from cdeigen import bounds
 from cdeigen.bounds import (
     BoundValue,
     bessel_first_zero,
@@ -83,6 +84,35 @@ def test_first_zero_strictly_increasing_in_order():
     assert np.all(np.diff(zeros) > 0.0)
 
 
+def _small_order_reference(e):
+    """j_{nu,1} for nu = -1 + e by a root of the power series of
+    e Gamma(nu + 1) (x/2)^(-nu) J_nu(x) in z = x^2/4, summed to roundoff."""
+    def series(z):
+        total, term, k = e - z, -z, 1
+        while abs(term) > 1e-20 * e:
+            term *= -z / ((k + 1) * (e + k))
+            total += term
+            k += 1
+        return total
+
+    return 2.0 * math.sqrt(brentq(series, 0.5 * e, 2.0 * e, xtol=1e-18 * e, rtol=1e-15))
+
+
+_SWITCH = bounds._SMALL_ORDER
+
+
+@pytest.mark.parametrize("nu", [-1.0 + 2.0 ** -53, -1.0 + 1e-10, -1.0 + 1e-6,
+                                -1.0 + _SWITCH * (1.0 - 1e-9), -1.0 + _SWITCH * (1.0 + 1e-9)],
+                         ids=["2^-53", "1e-10", "1e-6", "below-switch", "above-switch"])
+def test_first_zero_small_order(nu):
+    # nu = -1 + e: the expansion below the switch e = 1e-4 and Halley above
+    # it meet the 1e-12 contract, and the batch gives the scalar's bits
+    j = bessel_first_zero(nu)
+    assert j == pytest.approx(_small_order_reference(nu + 1.0), rel=1e-12)
+    assert bessel_first_zeros(np.array([nu, 0.5]))[0] == j
+    assert max(nu, 0.0) < j < math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0)) * (1.0 + 1e-12)
+
+
 def test_first_zero_domain_error():
     with pytest.raises(PreconditionError):
         bessel_first_zero(-1.0)
@@ -96,7 +126,8 @@ _ORDERS_TO_1E5 = st.floats(min_value=-1.0, max_value=1e5, exclude_min=True)
 
 def test_first_zero_work_budget(monkeypatch):
     # Each golden-section step of a closed-form KK scan misses the cache:
-    # each miss may evaluate J at most 10 times (Halley needs at most 8).
+    # each miss may evaluate J at most 10 times (Halley needs at most 8),
+    # and none below the small-order switch, where the expansion serves.
     import scipy.special
 
     jv_calls = 0
@@ -113,7 +144,10 @@ def test_first_zero_work_budget(monkeypatch):
     for nu in nus:
         before = jv_calls
         bessel_first_zero(float(nu))
-        assert 0 < jv_calls - before <= 10, (nu, jv_calls - before)
+        if nu + 1.0 < bounds._SMALL_ORDER:
+            assert jv_calls == before, nu
+        else:
+            assert 0 < jv_calls - before <= 10, (nu, jv_calls - before)
     assert bessel_first_zero.cache_info().misses == nus.size
 
     # The batch evaluates J on every order still iterating, in one call: at
@@ -136,7 +170,7 @@ def test_first_zero_work_budget(monkeypatch):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.lists(_ORDERS_TO_1E5, min_size=1, max_size=24))
 def test_batched_zeros_are_the_scalar_zeros(nus):
-    # NaN where the scalar raises `newton`: it does at nu = -1 + 2^-53
+    # NaN where the scalar raises `newton`
     def scalar(nu):
         try:
             return bessel_first_zero(nu)

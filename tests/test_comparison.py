@@ -13,7 +13,7 @@ from cdeigen.comparison import (
     composed_tolerance,
     rigidity_check,
 )
-from cdeigen.eigensolve import first_dirichlet_eigen, weighted_integral
+from cdeigen.eigensolve import _cubic_hermite, first_dirichlet_eigen, weighted_integral
 from cdeigen.errors import PreconditionError
 from cdeigen.modelspace import Density, check_cd_density, model_density
 
@@ -84,6 +84,24 @@ def test_comparison_matches_cubic_spline_reference():
         rhs = sol.eigenvalue * weighted_integral(lambda t: phi(t) ** 2, h, 0.0, theta)
         assert rep.lhs == pytest.approx(lhs, rel=1e-10)
         assert rep.rhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("quad_tol", [1e-10, 1e-7])
+def test_one_pass_sides_are_the_separate_integrals(quad_tol):
+    # both sides come from one adaptive pass, each row held to quad_tol;
+    # two separate quadratures of the same interpolant agree within 10 quad_tol
+    K, N, r0 = -1.5, 3.5, 1.0
+    grid = np.linspace(0.0, r0, 201)
+    h = Density.sampled(grid, 2.0 * model_density(-1.0, N, grid), interp_dim=N)
+    sol = first_dirichlet_eigen(Density.model(K, N, right=r0), r0, cut=False)
+    phi = _cubic_hermite(sol.grid, sol.phi, sol.dphi)
+    for theta in (0.3, 0.75, r0):
+        rep = comparison_residual(h, K, N, r0, theta, quad_tol=quad_tol)
+        lhs = weighted_integral(lambda t: phi(t)[1] ** 2, h, 0.0, theta, rel_tol=quad_tol)
+        rhs = sol.eigenvalue * weighted_integral(lambda t: phi(t)[0] ** 2, h, 0.0, theta,
+                                                 rel_tol=quad_tol)
+        assert rep.lhs == pytest.approx(lhs, rel=10.0 * quad_tol, abs=0.0)
+        assert rep.rhs == pytest.approx(rhs, rel=10.0 * quad_tol, abs=0.0)
 
 
 def test_cd_violation_is_rejected_then_waived():

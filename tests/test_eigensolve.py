@@ -328,29 +328,39 @@ def test_inverse_iteration_raises_at_its_step_cap(monkeypatch):
     assert len(calls) == 200
 
 
-def test_certified_shift_keeps_its_margin_over_the_bisection_error(monkeypatch):
-    # sigma = (1 - 1e-3) lambda_L is below every level's eigenvalue only if
-    # the bisection's error, at most its tol, stays well inside the
-    # 1e-3 lambda_L margin: here within 5 % of it, on every level
-    seen = []
-    eigh_tridiagonal = eigensolve.eigh_tridiagonal
+def test_certified_shift_factors_and_sits_within_its_margin(monkeypatch):
+    # Each level's shift sigma is certified by the factorization of
+    # A - sigma B itself: it must factor (so sigma < lambda by Sylvester's
+    # law of inertia) and sit within 2e-3 of that level's eigenvalue, on
+    # every level
+    shifts, levels = [], []
+    factor_below, smallest = eigensolve._factor_below, eigensolve._smallest_eigenpair
 
-    def recorded(*args, **kwargs):
-        lam_l = eigh_tridiagonal(*args, **kwargs)
-        seen.append((kwargs["tol"], float(lam_l[0])))
-        return lam_l
+    def recorded_shift(ad, ao, bd, bo, mu):
+        sigma, d, e = factor_below(ad, ao, bd, bo, mu)
+        info = eigensolve.lapack.dpttrf(ad - sigma * bd, ao - sigma * bo)[2]
+        shifts.append((sigma, info))
+        return sigma, d, e
 
-    monkeypatch.setattr(eigensolve, "eigh_tridiagonal", recorded)
+    def recorded_level(*args, **kwargs):
+        lam, phi = smallest(*args, **kwargs)
+        levels.append(lam)
+        return lam, phi
+
+    monkeypatch.setattr(eigensolve, "_factor_below", recorded_shift)
+    monkeypatch.setattr(eigensolve, "_smallest_eigenpair", recorded_level)
     # r0 = 1 on two models and on the default kk-bound curve K = 1 - (N+2)/(N-2)
     densities = [Density.model(-4.0, 3.0), Density.model(0.0, 1.05)]
     densities += [Density.model(1.0 - (N + 2.0) / (N - 2.0), N)
                   for N in (2.001, 30.0, 300.0, 2000.0)]
     for h in densities:
-        seen.clear()
+        shifts.clear()
+        levels.clear()
         first_dirichlet_eigen(h, 1.0)
-        assert len(seen) >= 3
-        for level, (tol, lam_l) in enumerate(seen):
-            assert 0.0 < tol <= 0.05 * 1e-3 * lam_l, (h.K, h.N, level, tol, lam_l)
+        assert len(levels) == len(shifts) >= 3
+        for level, ((sigma, info), lam) in enumerate(zip(shifts, levels)):
+            assert info == 0, (h.K, h.N, level)
+            assert (1.0 - 2e-3) * lam <= sigma < lam, (h.K, h.N, level, sigma, lam)
 
 
 def test_flat_weight_quarter_wave():
@@ -431,6 +441,18 @@ def test_shooting_starts_where_the_weight_underflows(N):
     assert shot.eigenvalue == pytest.approx(first_dirichlet_eigen(h, 1.0).eigenvalue, rel=1e-6)
 
 
+@pytest.mark.parametrize("N", [2300.0, 3000.0])
+def test_matrix_route_solves_the_large_n_end_of_the_kk_curve(N):
+    # The factorization-certified shift keeps inverse iteration short where
+    # a lumped-mass shift sat far below lambda.  The closed form is nearly
+    # exact this far out.  N = 6000 still raises `refinement`: the first
+    # mesh is not fitted to an eigenfunction so concentrated near r0.
+    K = 1.0 - (N + 2.0) / (N - 2.0)
+    sol = first_dirichlet_eigen(_kk_curve(N), 1.0)
+    assert sol.flux_residual <= 100.0 * 1e-8
+    assert sol.eigenvalue == pytest.approx(closed_form_bound(K, N, 1.0).value, rel=1e-9)
+
+
 @pytest.mark.parametrize("N", [100.0, 300.0, 1000.0, 2000.0])
 def test_cut_below_the_mass_keeps_the_eigenvalue(monkeypatch, N):
     # at large N all but 1e-16 of h phi^2 lies near r0: after the first
@@ -448,8 +470,8 @@ def test_cut_below_the_mass_keeps_the_eigenvalue(monkeypatch, N):
     # the first level only estimates the share below a; the converged
     # eigenfunction's share stays within a small factor of the target
     a, phi = sol.grid[1], eigensolve._cubic_hermite(uncut.grid, uncut.phi, uncut.dphi)
-    share = (weighted_integral(lambda t: phi(t) ** 2, _kk_curve(N), 0.0, a)
-             / weighted_integral(lambda t: phi(t) ** 2, _kk_curve(N), 0.0, 1.0))
+    share = (weighted_integral(lambda t: phi(t)[0] ** 2, _kk_curve(N), 0.0, a)
+             / weighted_integral(lambda t: phi(t)[0] ** 2, _kk_curve(N), 0.0, 1.0))
     assert share < 1e-15
     # a node count, not a timing: the uncut mesh reaches 66 177 nodes at N = 2000
     assert N != 2000.0 or sol.grid.size <= 8500
@@ -849,8 +871,9 @@ def test_cubic_hermite_reproduces_cubics(x0, widths, coef, fracs):
     big = float(np.max(np.abs(x)))
     scale = sum(abs(c) * big ** k for k, c in enumerate(coef))
     dscale = sum(k * abs(c) * big ** (k - 1) for k, c in enumerate(coef) if k)
-    assert np.max(np.abs(f(t) - p(t))) <= 1e-12 * max(scale, 1.0)
-    assert np.max(np.abs(f(t, derivative=True) - dp(t))) <= 1e-12 * max(dscale, 1.0)
+    value, slope = f(t)
+    assert np.max(np.abs(value - p(t))) <= 1e-12 * max(scale, 1.0)
+    assert np.max(np.abs(slope - dp(t))) <= 1e-12 * max(dscale, 1.0)
 
 
 def test_flux_identity_residual_detects_wrong_eigenvalue():

@@ -113,6 +113,57 @@ def test_float_evaluation_is_the_array_evaluation_bit_for_bit():
     assert model_density(2.0, 3.0, d) == model_density(2.0, 3.0, np.array([d]))[0] == 0.0
 
 
+def _masked_s_kappa(kappa, th):
+    """s_kappa as evaluated entry by entry on the masks of its two forms:
+    the Taylor form where |kappa| theta^2 < 1e-8, sin or sinh elsewhere."""
+    th = np.asarray(th, dtype=float)
+    x2 = kappa * th * th
+    out = np.empty(th.shape)
+    small = np.abs(x2) < 1e-8
+    out[small] = th[small] * (1.0 - x2[small] / 6.0 * (1.0 - x2[small] / 20.0
+                                                         * (1.0 - x2[small] / 42.0)))
+    if kappa != 0.0:
+        rk = math.sqrt(abs(kappa))
+        out[~small] = (np.sin if kappa > 0 else np.sinh)(rk * th[~small]) / rk
+    return out
+
+
+@st.composite
+def _model_points(draw):
+    K = draw(st.one_of(st.just(0.0), st.floats(-40.0, 4.0), st.floats(-1e-6, 1e-6)))
+    N = draw(st.floats(1.05, 40.0))
+    d = max_diameter(K, N)
+    right = min(d, 3.0) if d > 10.0 else d
+    # theta = 0, entries in the Taylor band |kappa| theta^2 < 1e-8, entries
+    # anywhere, and for K > 0 the diameter and the last 1e-12 past it
+    special = [0.0, 1e-9 * right, right]
+    if right == d:
+        special.append(d * (1.0 + 5e-13))
+    thetas = draw(st.lists(st.one_of(st.sampled_from(special), st.floats(0.0, right),
+                                     st.floats(0.0, 1e-4 * right)), min_size=1, max_size=40))
+    return K, N, right, d, np.array(thetas)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_model_points())
+def test_model_weight_is_the_masked_formula_bit_for_bit(point):
+    # h(theta) = max(s_kappa(K/(N-1), min(theta, d)), 0)^(N-1) before the
+    # diameter d and 0 at or past it, with np.power (the array's **) on
+    # s_kappa evaluated on its masks; floats give a one-point array's value
+    K, N, right, d, th = point
+    kappa = K / (N - 1.0)
+    want = np.maximum(_masked_s_kappa(kappa, np.minimum(th, d)), 0.0) ** (N - 1.0)
+    want[th >= d] = 0.0
+    h = Density.model(K, N, right=right)
+    assert np.array_equal(s_kappa(kappa, th), _masked_s_kappa(kappa, th))
+    assert np.array_equal(h(th), want)
+    assert np.array_equal(model_density(K, N, th), want)
+    for t, w in zip(th.tolist(), want.tolist()):
+        assert h(t) == w and model_density(K, N, t) == w
+        if t <= right:
+            assert s_kappa(kappa, t) == _masked_s_kappa(kappa, [t])[0]
+
+
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
 def test_float_evaluation_keeps_the_theta_check(bad):
     for call in (lambda: s_kappa(-1.0, bad), lambda: model_density(-1.0, 3.0, bad),

@@ -322,6 +322,17 @@ def test_cli_grid_points_beyond_the_cap_exits_two(capsys):
     assert error["code"] == "domain" and "grid_points" in error["message"]
 
 
+def test_solver_scan_completes_through_n_3000():
+    # D - d = 3 scans up to N = 3000, where the matrix route needs the
+    # factorization-certified shift; the solver's bound lies at or below
+    # the closed form's, which is an upper bound at every N
+    spec = CompactificationSpec(D=7, d=4, Lambda=1.0, sigma_w=2.0, diam=2.0)
+    solved = kk_mass_bound_optimal(spec, j=1, method="solver")
+    closed = kk_mass_bound_optimal(spec, j=1, method="closed_form")
+    assert solved.bracketed
+    assert solved.bound <= closed.bound
+
+
 def test_default_kk_scan_solver_range(capsys):
     # the (K(N), N) curve of the default kk-bound scan, r0 = diam/2 = 1,
     # from the near-singular end N -> 2+ out to N = 2000
