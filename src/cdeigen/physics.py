@@ -15,6 +15,8 @@ the best bracket by golden-section search.  With the closed form, the grid
 is one array pass (K(N), the infeasible points and the closed forms, each
 in one call), on Bessel zeros computed once per D - d and grid size; the
 golden-section steps evaluate one N at a time through ``kk_mass_bound_at``.
+The closed form loads no scipy: ``bounds`` finds the Bessel zeros with
+``math`` alone, one order at a time, through its zero cache.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# Every closed-form N-scan needs Bessel zeros, which ``bounds`` computes with
-# scipy.special alone; load it with this module rather than inside the first
-# scan that misses the Bessel-zero cache.
-import scipy.special  # noqa: F401
 
 from .bounds import _model_eigenvalue, bessel_first_zeros, closed_form_values, mode_radius
 from .errors import NonconvergenceError, PreconditionError

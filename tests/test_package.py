@@ -72,40 +72,39 @@ def test_cold_cli_loads_only_the_scipy_it_needs():
         run("sweep", "ess-spectrum", "--over", "K", "--start", "-1", "--stop", "0",
             "--count", "3", "--N", "4")
         report["sweep"] = loaded("numpy")
+        run("neumann-bound", "--K", "-1", "--N", "4", "--diam", "2")
+        report["neumann"] = loaded("scipy")
         run("model-eigen", "--K", "-4", "--N", "3", "--r0", "1")
         report["model-eigen"] = loaded("scipy")
+        # the closed-form reference at N = 4.5 needs a Bessel zero
+        run("model-eigen", "--K", "-1", "--N", "4.5", "--r0", "1")
+        report["model-eigen-zero"] = loaded("scipy")
         run("compare", "--model-K", "-4", "--K", "-4", "--N", "3", "--r0", "1",
             "--theta", "0.5")
         report["compare"] = loaded("scipy")
-        run("neumann-bound", "--K", "-1", "--N", "4", "--diam", "2")
-        report["neumann"] = loaded("scipy")
         report["mpmath"] = "mpmath" in sys.modules
     """)
     for step in ("import", "version", "usage-error", "ess", "sweep"):
         assert report[step] == [], step
-    for command in ("model-eigen", "compare"):
+    assert report["neumann"] == []
+    for command in ("model-eigen", "model-eigen-zero", "compare"):
         assert "scipy.linalg" in report[command], command
         for module in UNUSED_BY_MATRIX:
             assert module not in report[command], (command, module)
-    assert "scipy.special" in report["neumann"]
-    for module in ("scipy.integrate", "scipy.interpolate", "scipy.optimize"):
-        assert module not in report["neumann"], module
     assert report["mpmath"] is False
 
 
-def test_cold_kk_bound_loads_bessel_scipy_only():
+def test_cold_kk_bound_loads_no_scipy():
     report = _fresh_interpreter_report("""
         from cdeigen.cli import main
         run("kk-bound", "--D", "6", "--d", "4", "--Lambda", "1", "--sigma", "2",
             "--diam", "2", "--grid-points", "16")
         report["kk"] = loaded("scipy")
     """)
-    assert "scipy.special" in report["kk"]
-    for module in ("scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize"):
-        assert module not in report["kk"], module
+    assert report["kk"] == []
 
 
-def test_physics_loads_bessel_scipy_and_shooting_loads_its_solvers():
+def test_physics_loads_no_scipy_and_shooting_loads_its_solvers():
     report = _fresh_interpreter_report("""
         import cdeigen.physics
         from cdeigen.cli import main
@@ -113,10 +112,7 @@ def test_physics_loads_bessel_scipy_and_shooting_loads_its_solvers():
         run("model-eigen", "--K", "-4", "--N", "3", "--r0", "1", "--method", "shooting")
         report["shooting"] = loaded("scipy")
     """)
-    assert "scipy.special" in report["physics"]
-    assert "scipy.optimize" not in report["physics"]
-    assert "scipy.integrate" not in report["physics"]
-    assert "scipy.interpolate" not in report["physics"]
+    assert report["physics"] == []
     assert "scipy.integrate" in report["shooting"]
     assert "scipy.optimize" in report["shooting"]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdeigen import eigensolve, physics
+from cdeigen import bounds, eigensolve, physics
 from cdeigen.bounds import (
     bessel_first_zero,
     bessel_first_zeros,
@@ -274,7 +274,7 @@ def test_scan_mask_is_the_scalar_rule(Lambda, N0, f, Ns, j):
 
 @pytest.fixture
 def cold_zero_caches():
-    """Empty Bessel-zero caches before and after: the test feeds them J."""
+    """Empty Bessel-zero caches before and after: the test patches J_nu/J_{nu-1}."""
     bessel_first_zero.cache_clear()
     physics._scan_grid.cache_clear()
     yield
@@ -283,12 +283,10 @@ def cold_zero_caches():
 
 
 def test_optimal_array_pass_failure_names_its_N(monkeypatch, cold_zero_caches):
-    import scipy.special
-
     bad_N = 2.0 + float(np.geomspace(1e-3, 1998.0, 8)[3])
-    real_jv = scipy.special.jv
-    monkeypatch.setattr(scipy.special, "jv",
-                        lambda nu, x: np.where(nu == bad_N / 2.0 - 1.0, np.nan, real_jv(nu, x)))
+    ratio = bounds._jv_ratio
+    monkeypatch.setattr(bounds, "_jv_ratio",
+                        lambda nu, x: math.nan if nu == bad_N / 2.0 - 1.0 else ratio(nu, x))
     with pytest.raises(NonconvergenceError) as exc:
         kk_mass_bound_optimal(spec_a(), grid_points=8)
     assert exc.value.code == "newton"
