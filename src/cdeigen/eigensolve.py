@@ -14,16 +14,19 @@ left end where the weight h may vanish.  Two routes are provided:
   lambda <= lambda_[a,r0] <= lambda / (1 - f), f being the converged
   eigenfunction's share below a;
 * a shooting method integrating the ODE phi'' + (log h)' phi' + lambda phi = 0
-  from near the singular end and root-finding on phi(r0).
+  from near the singular end, together with its lambda-derivative, and
+  finding the root of phi(r0) by Newton's method from the first mesh
+  level's value.
 
 An adaptive Gauss-Kronrod quadrature for integrals against the measure
 h dtheta, the C^1 cubic Hermite interpolant of a solution's (phi, phi') and
-the flux-identity diagnostic live here as well.  Mesh size, bisections and
-the quadrature's panel budget are module constants, not parameters.
+the flux-identity diagnostic live here as well.  Mesh size, bisections, the
+quadrature's panel budget and shooting's Newton steps are module constants,
+not parameters.
 
 Only numpy and ``scipy.linalg`` load with this module, which is all the
-matrix route uses.  Shooting imports ``scipy.integrate`` and
-``scipy.optimize`` the first time it runs.
+matrix route uses.  Shooting imports ``scipy.integrate`` the first time it
+runs (which loads ``scipy.optimize`` as well; shooting calls nothing of it).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import bisect as _bisect_mod
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -480,8 +482,9 @@ class EigenSolution:
     phi is sampled on ``grid``, normalized to sup-norm 1 with nonnegative
     sign; dphi holds its nodal slopes (integrated by shooting, those of
     5-node interpolants of phi by the matrix route).  refinement_history
-    records the raw per-level eigenvalue estimates (the final eigenvalue adds
-    one Richardson step on top of the last entry for the matrix method).
+    records the matrix route's raw per-level eigenvalue estimates (the
+    final eigenvalue adds one Richardson step on top of the last entry), or
+    shooting's Newton iterates, from the first level's value, and its root.
     """
 
     eigenvalue: float
@@ -656,19 +659,26 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     first level, bisection by factorization takes about 12.  On the default
     kk-bound curve the route solves out to N = 3000 (9 986 nodes at N =
     2300); at N = 6000 it raises ``refinement``.
-    The shooting route runs the matrix route at tol 1e-6, hands the bracket
-    (1 - 1e-3, 1 + 1e-3) times that converged estimate to ``shoot_eigen``,
-    integrates once more at the root with the same integrator to take phi
-    and phi' from LSODA's own interpolant at the nodes of the first mesh,
-    and applies the same 100*tol flux gate.  On model densities
-    it agrees with the matrix route for K in [-5, 2], N in [1.05, 30] and r0
-    up to min(2.5, 0.9 * diameter), and on the default kk-bound curve for N
-    in [2.003, 88].  It fails as N -> 2+ on that curve (``flux`` at N =
-    2.001 and 2.0018) and from about N = 90 on (``flux``, the residual
-    rising with N; ``domain`` at N = 1000, where the flux check's integral
-    of phi h underflows).  A weight whose values or matrix entries overflow
-    double precision on [0, r0], or underflow so far that no mass is left,
-    raises ``domain``; for a model weight the message names K, N and r0.
+    The shooting route runs no matrix solve.  It takes the matrix route's
+    first level (``_first_level``), whose value is an upper bound on
+    lambda, and hands the bracket (1 - 1e-3, 1 + 1e-3) times that value to
+    ``shoot_eigen``, whose Newton search starts at the bracket's midpoint
+    and samples each integration at the first mesh's nodes.  phi and phi'
+    there come from the last integration, moved to the root to first order
+    by their lambda-derivatives.  It raises ``shooting`` unless phi is
+    positive at every interior node (by Sturm's oscillation theorem only
+    the first eigenfunction has no zero in (0, r0)), and applies the same
+    100*tol flux gate.  On model densities it agrees with the matrix route
+    for K in [-5, 2], N in [1.05, 30] and r0 up to min(2.5, 0.9 *
+    diameter), in 2 or 3 integrations, and on the default kk-bound curve
+    for N in [2.003, 88].  On that curve it fails as N -> 2+ (``shooting``
+    at N = 2.001, where Newton does not settle; ``flux`` at N = 2.0018,
+    residual 2.2e-6) and from about N = 90 on (``flux`` at N = 90, residual
+    1.05e-6; ``bracket`` at N = 150; ``shooting`` at N = 300 and 1000,
+    where phi - 1 rounds to -1 near r0, so phi is not positive there).
+    A weight whose values or matrix entries overflow double precision on
+    [0, r0], or underflow so far that no mass is left, raises ``domain``
+    in either route; for a model weight the message names K, N and r0.
     So does a mesh whose element widths square
     to 0 (a tiny r0), from ``assemble_weighted_problem``, and, for a model
     weight, a radius whose ball does not fit inside the model
@@ -679,14 +689,15 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     if method not in ("matrix", "shooting"):
         raise PreconditionError("domain", f"unknown method {method!r}")
 
-    if method == "shooting":
-        return _shooting_solution(h, r0, tol)
     # lambda is blind to a constant factor in h, but the assembly is not: a
     # weight past the double range is a domain error, not an inf or NaN that
     # fails in LAPACK.  Underflow alone is no error (h vanishes at 0); it is
-    # one once it leaves no mass.
+    # one once it leaves no mass.  Both routes start from the same first
+    # level, so both meet it there.
     try:
         with np.errstate(over="raise"):
+            if method == "shooting":
+                return _shooting_solution(h, r0, tol)
             return _matrix_solution(h, r0, tol, _CUT_SHARE if cut else 0.0)
     except FloatingPointError:
         how = "overflows"
@@ -704,30 +715,39 @@ def _mass_cut(prob: WeightedEigenProblem, phi: np.ndarray, share: float) -> int:
     return int(np.searchsorted(c, share * c[-1]))
 
 
-def _matrix_solution(h: Density, r0: float, tol: float, share: float) -> EigenSolution:
+def _first_level(h: Density, r0: float):
+    """The first mesh level that both routes start from: the problem
+    assembled on ``_initial_nodes`` and its smallest eigenpair by inverse
+    iteration from 1 - (theta/r0)^2.  Its value is the Rayleigh quotient of
+    a conforming function, an upper bound on lambda."""
     nodes = _initial_nodes(h, r0)
-    start = 1.0 - (nodes[:-1] / r0) ** 2
-    history: list[float] = []
-    ex_prev = stuck_flux = None
+    prob = assemble_weighted_problem(h, r0, nodes)
+    return (prob, *_smallest_eigenpair(prob, 1.0 - (nodes[:-1] / r0) ** 2))
+
+
+def _matrix_solution(h: Density, r0: float, tol: float, share: float) -> EigenSolution:
+    prob, lam, phi = _first_level(h, r0)
+    nodes = prob.nodes
+    history = [lam]
     cut = 0  # 1 once nodes[0] = 0 lies below the natural end a = nodes[1]
-    for _ in range(_MAX_REFINEMENTS + 1):
-        prob = assemble_weighted_problem(h, r0, nodes)
-        lam, phi = _smallest_eigenpair(prob, start, cut)
-        history.append(lam)
-        if len(history) > 1:
-            ex = lam + (lam - history[-2]) / 3.0
-            if ex_prev is not None and abs(ex - ex_prev) <= tol * abs(ex):
-                sol = _eigen_solution(h, nodes, ex, phi, "matrix", history, first=cut)
-                if sol.flux_residual <= 100.0 * tol:
-                    return sol
-                stuck_flux = sol.flux_residual
-            ex_prev = ex
-        elif (j := _mass_cut(prob, phi, share)) > 1:  # a cut at nodes[1] would drop no node
-            keep = np.r_[0, j:nodes.size]
-            nodes, phi, cut = nodes[keep], phi[keep], 1
+    if (j := _mass_cut(prob, phi, share)) > 1:  # a cut at nodes[1] would drop no node
+        keep = np.r_[0, j:nodes.size]
+        nodes, phi, cut = nodes[keep], phi[keep], 1
+    ex_prev = stuck_flux = None
+    for _ in range(_MAX_REFINEMENTS):
         fine = np.concatenate((nodes[:cut], _bisect_nodes(nodes[cut:])))
         start = np.interp(fine[:-1], nodes, phi)
         nodes = fine
+        prob = assemble_weighted_problem(h, r0, nodes)
+        lam, phi = _smallest_eigenpair(prob, start, cut)
+        history.append(lam)
+        ex = lam + (lam - history[-2]) / 3.0
+        if ex_prev is not None and abs(ex - ex_prev) <= tol * abs(ex):
+            sol = _eigen_solution(h, nodes, ex, phi, "matrix", history, first=cut)
+            if sol.flux_residual <= 100.0 * tol:
+                return sol
+            stuck_flux = sol.flux_residual
+        ex_prev = ex
     if stuck_flux is not None:
         raise NonconvergenceError(
             "flux",
@@ -805,19 +825,30 @@ def _log_derivative(h: Density):
     return dlog
 
 
-def _shooting_machinery(h: Density, r0: float):
-    """Start point eps0 = 1e-6 r0 of the shooting ODE and the integrator
-    from it, shared by a solve's root search and eigenfunction pass.  The
-    start slope is the Frobenius term phi'(eps0) = -lambda eps0 / (1 + eps0
-    (log h)'(eps0)), the flux identity's -lambda eps0 / (1 + p) where h ~
-    theta^p; it needs no value of h, which underflows at large N."""
+# Integrations one Newton search may take before it raises ``shooting``.
+_MAX_NEWTON_STEPS = 10
+
+
+def _shooting_machinery(h: Density, r0: float, nodes=None):
+    """The shooting ODE's integrator for one solve, and the list of its runs.
+
+    It starts at eps0 = 1e-6 r0 from phi(eps0) = 1 and the Frobenius term
+    phi'(eps0) = -lambda eps0 / (1 + eps0 (log h)'(eps0)), the flux
+    identity's -lambda eps0 / (1 + p) where h ~ theta^p; that needs no
+    value of h, which underflows at large N.  ``integrate(lam)`` returns the
+    state at the ``nodes`` from eps0 on (default: r0 alone) and appends
+    (lam, state) to the runs."""
     eps0 = r0 * 1e-6
     dlog = _log_derivative(h)
     start = eps0 / (1.0 + eps0 * dlog(eps0))
+    t_eval = None if nodes is None else nodes[nodes >= eps0]
+    runs = []
 
-    def integrate(lam, t_eval=None):
-        """Integrate (phi - 1, phi') from eps0 to r0, from phi(eps0) = 1, and
-        return them at t_eval (default: r0 alone).
+    def integrate(lam):
+        """Integrate (phi - 1, phi', d phi/d lambda, d phi'/d lambda) from
+        eps0 to r0 in one LSODA call; the lambda-derivative solves the
+        variational equation, the ODE differentiated in lambda, from the
+        lambda-derivative of the start values.
 
         Near the singular end phi differs from 1 by O(lam theta^2).  LSODA
         weighs a switch from Adams to BDF only while its error estimate is
@@ -827,9 +858,11 @@ def _shooting_machinery(h: Density, r0: float):
         steps.  Carried as phi - 1, it switches to BDF within its first steps.
         """
         def rhs(t, y):
-            return (y[1], -lam * (1.0 + y[0]) - dlog(t) * y[1])
+            d = dlog(t)
+            phi = 1.0 + y[0]
+            return (y[1], -lam * phi - d * y[1], y[3], -lam * y[2] - phi - d * y[3])
 
-        ivp = solve_ivp(rhs, (eps0, r0), [0.0, -lam * start], t_eval=t_eval,
+        ivp = solve_ivp(rhs, (eps0, r0), [0.0, -lam * start, 0.0, -start], t_eval=t_eval,
                         rtol=1e-11, atol=1e-13)
         if not ivp.success:
             raise NonconvergenceError(
@@ -839,24 +872,31 @@ def _shooting_machinery(h: Density, r0: float):
             raise NonconvergenceError(
                 "stiffness", f"ODE integration at lambda = {lam!r} ended at a non-finite "
                 f"(phi, phi') = ({1.0 + ivp.y[0, -1]}, {ivp.y[1, -1]})")
-        return ivp
+        runs.append((lam, ivp.y))
+        return ivp.y
 
-    return eps0, integrate
+    return integrate, runs
 
 
 def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8, *, integrate=None) -> float:
-    """Shooting eigenvalue: root of lambda -> phi(r0) inside ``bracket``.
+    """Shooting eigenvalue: root of lambda -> phi(r0) by Newton's method
+    from the midpoint of ``bracket``.
 
     phi'' + (log h)' phi' + lambda phi = 0 is integrated from eps0 = 1e-6 r0
     to r0 by LSODA (Adams/BDF, rtol 1e-11, atol 1e-13, through
     ``scipy.integrate.odeint``, never stepping past r0), starting from
     phi(eps0) = 1 and the Frobenius term phi'(eps0) = -lambda eps0 / (1 +
-    eps0 (log h)'(eps0)).  Brent's method finds the root to xtol
-    tol * bracket[0]; each trial lambda is integrated once.  Raises ``bracket`` when phi(r0) has
-    one sign at both ends, ``stiffness`` when LSODA fails or ends at a
-    non-finite state, and ``shooting`` when |phi(r0)| stays above 100*tol.
+    eps0 (log h)'(eps0)).  The same integration carries d phi/d lambda, so
+    each trial lambda costs one integration and gives both phi(r0) and the
+    Newton step -phi(r0) / (d phi/d lambda)(r0).  The search stops at the
+    first step no longer than tol * lambda, applies it and returns the
+    result.  Raises ``bracket`` when an iterate leaves the bracket,
+    ``stiffness`` when LSODA fails or ends at a non-finite state, and
+    ``shooting`` when the last integrated |phi(r0)| exceeds 100*tol or no
+    step is that short within ``_MAX_NEWTON_STEPS`` integrations.  The root
+    need not be the first eigenvalue; ``first_dirichlet_eigen`` checks that.
     ``integrate`` is the integrator of ``_shooting_machinery(h, r0)``, built
-    here unless a shooting solve passes the one it reuses afterwards.
+    here unless a shooting solve passes the one whose runs it reads.
     """
     _validate_problem(h, r0)
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -864,46 +904,51 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8, *, integrate=
         raise PreconditionError("bracket", f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
     _validate_tol(tol)
 
-    from scipy.optimize import brentq
-
     if integrate is None:
-        _, integrate = _shooting_machinery(h, r0)
+        integrate, _ = _shooting_machinery(h, r0)
 
-    # brentq evaluates both bracket ends again and returns a point it has
-    # evaluated, so the cache integrates each trial lambda once.
-    @cache
-    def miss(lam):
-        return 1.0 + float(integrate(lam).y[0, -1])
-
-    f_lo, f_hi = miss(lo), miss(hi)
-    if f_lo * f_hi > 0:
-        raise PreconditionError(
-            "bracket",
-            f"no sign change of phi(r0) on ({lo}, {hi}): endpoints give ({f_lo:.3e}, {f_hi:.3e})",
-        )
-    lam = brentq(miss, lo, hi, xtol=tol * lo, rtol=max(1e-13, 0.01 * tol))
-    resid = abs(miss(lam))
-    if resid > 100.0 * tol:
-        raise NonconvergenceError("shooting", f"|phi(r0)| = {resid:.3e} did not fall below tolerance")
-    return float(lam)
+    lam = 0.5 * (lo + hi)
+    for _ in range(_MAX_NEWTON_STEPS):
+        y = integrate(lam)
+        miss, slope = 1.0 + float(y[0, -1]), float(y[2, -1])
+        step = -miss / slope if slope else math.inf
+        if not lo <= lam + step <= hi:
+            raise PreconditionError(
+                "bracket", f"Newton's step from lambda = {lam!r} leaves the bracket "
+                           f"({lo}, {hi}): phi(r0) = {miss:.3e}")
+        if abs(step) <= tol * lam:
+            if abs(miss) > 100.0 * tol:
+                raise NonconvergenceError(
+                    "shooting", f"|phi(r0)| = {abs(miss):.3e} did not fall below tolerance")
+            return lam + step
+        lam += step
+    raise NonconvergenceError(
+        "shooting", f"Newton's method did not settle to rel tol {tol} within "
+                    f"{_MAX_NEWTON_STEPS} integrations (last lambda = {lam!r})")
 
 
 def _shooting_solution(h: Density, r0: float, tol: float) -> EigenSolution:
-    est = first_dirichlet_eigen(h, r0, tol=1e-6, method="matrix").eigenvalue
-    eps0, integrate = _shooting_machinery(h, r0)
+    prob, est, _ = _first_level(h, r0)
+    nodes = prob.nodes
+    integrate, runs = _shooting_machinery(h, r0, nodes)
     lam = shoot_eigen(h, r0, ((1.0 - 1e-3) * est, (1.0 + 1e-3) * est), tol,
                       integrate=integrate)
 
-    nodes = _initial_nodes(h, r0)
-    inside = nodes >= eps0
-    vals = integrate(lam, nodes[inside]).y
-    # Below the start point phi is flat to O(eps^2); pin the natural boundary.
+    # phi and phi' at lam, to first order in lam - at from the last run;
+    # below the start point phi is flat to O(eps^2).  Pin the Dirichlet end.
+    at, y = runs[-1]
+    below = nodes.size - y.shape[1]
     phi = np.ones_like(nodes)
     dphi = np.zeros_like(nodes)
-    phi[inside] = 1.0 + vals[0]
-    dphi[inside] = vals[1]
+    phi[below:] = 1.0 + y[0] + (lam - at) * y[2]
+    dphi[below:] = y[1] + (lam - at) * y[3]
     phi[-1] = 0.0
-    sol = _eigen_solution(h, nodes, lam, phi, "shooting", [est, lam], dphi)
+    # Sturm: only the first eigenfunction keeps one sign on (0, r0).
+    if not np.all(phi[:-1] > 0.0):
+        raise NonconvergenceError(
+            "shooting", f"phi is not positive at every interior node, so lambda = {lam!r} "
+                        "is not certified as the first eigenvalue")
+    sol = _eigen_solution(h, nodes, lam, phi, "shooting", [at for at, _ in runs] + [lam], dphi)
     if sol.flux_residual > 100.0 * tol:
         raise NonconvergenceError(
             "flux", f"flux-identity residual {sol.flux_residual:.3e} exceeds 100*tol"

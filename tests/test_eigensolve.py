@@ -551,13 +551,13 @@ def test_shooting_passes_its_flux_check_near_N_1(K, N, r0):
 
 
 @pytest.mark.parametrize("K, N, r0, max_integrations, max_nfev", [
-    pytest.param(-4.28841, 8.403, 1.56601, 9, 5000, id="-4.28841-8.403-1.56601"),
+    pytest.param(-4.28841, 8.403, 1.56601, 3, 1770, id="-4.28841-8.403-1.56601"),
     # integrated in phi rather than phi - 1, LSODA held a stale
     # stability-limited step of 2e-8 here for millions of steps
-    pytest.param(-4.3923, 19.592, 0.262, 10, 8000, id="-4.3923-19.592-0.262"),
+    pytest.param(-4.3923, 19.592, 0.262, 3, 2000, id="-4.3923-19.592-0.262"),
     # K > 0 near the diameter: (log h)' stays finite past r0, so only the
     # integrator's stop at r0 keeps t inside the interval
-    pytest.param(2.0, 3.0, 0.9 * max_diameter(2.0, 3.0), 7, 3200, id="2.0-3.0-0.9diam"),
+    pytest.param(2.0, 3.0, 0.9 * max_diameter(2.0, 3.0), 3, 1375, id="2.0-3.0-0.9diam"),
 ])
 def test_shooting_ode_work(monkeypatch, K, N, r0, max_integrations, max_nfev):
     # rhs evaluations are counted as they happen, so a stuck integrator
@@ -612,7 +612,7 @@ def test_solve_ivp_matches_scipy_lsoda():
 @pytest.mark.filterwarnings("error")
 def test_shooting_raises_stiffness_on_a_nan_right_hand_side(monkeypatch):
     # LSODA integrates a NaN right-hand side "successfully"; the NaN end
-    # state must not reach brentq as a bare ValueError
+    # state must not reach the Newton step as a NaN
     dlog = eigensolve._log_derivative
 
     def poisoned(h):
@@ -632,14 +632,15 @@ def test_shooting_raises_stiffness_on_a_nan_right_hand_side(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_shooting_raises_stiffness_when_lsoda_fails(monkeypatch):
     # an illegal tolerance makes odeint itself fail; the failure is coded
-    # and no ODEintWarning escapes
+    # and no ODEintWarning escapes.  The first lambda integrated is Newton's
+    # start, the bracket's midpoint.
     solve_ivp = eigensolve.solve_ivp
 
     def illegal(fun, t_span, y0, **kwargs):
         return solve_ivp(fun, t_span, y0, **{**kwargs, "rtol": -1.0})
 
     monkeypatch.setattr(eigensolve, "solve_ivp", illegal)
-    with pytest.raises(NonconvergenceError, match="lambda = 5.0 failed") as exc:
+    with pytest.raises(NonconvergenceError, match="lambda = 17.5 failed") as exc:
         shoot_eigen(Density.model(-2.0, 4.0), 1.0, (5.0, 30.0))
     assert exc.value.code == "stiffness"
 
@@ -658,8 +659,9 @@ def test_shooting_start_cache_under_threads(monkeypatch):
     solve_ivp = eigensolve.solve_ivp
 
     def recorded(fun, t_span, y0, **kwargs):
-        lam = -fun(t_span[0], [0.0, 0.0])[1]
-        slopes[local.case].append(y0[1] / lam)
+        # the state is (phi - 1, phi', d phi/d lambda, d phi'/d lambda)
+        lam = -fun(t_span[0], [0.0, 0.0, 0.0, 0.0])[1]
+        slopes[local.case] += [y0[1] / lam, y0[3]]
         return solve_ivp(fun, t_span, y0, **kwargs)
 
     def work(i):
@@ -695,6 +697,45 @@ def test_shoot_eigen_bracket_behavior():
     assert exc.value.code == "bracket"
     with pytest.raises(PreconditionError):
         shoot_eigen(h, 1.0, (-1.0, 2.0))
+
+
+def test_shooting_rejects_a_root_above_the_first_eigenvalue(monkeypatch):
+    # on the flat weight lambda_2 = 9 lambda_1.  Started there, Newton finds
+    # lambda_2, whose eigenfunction cos(3 pi theta / 2) changes sign at 1/3;
+    # by Sturm's oscillation theorem only lambda_1's keeps one sign
+    h = Density.sampled([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
+    lam2 = 9.0 * (math.pi / 2.0) ** 2
+    assert shoot_eigen(h, 1.0, (0.99 * lam2, 1.01 * lam2)) == pytest.approx(lam2, rel=1e-9)
+    first_level = eigensolve._first_level
+
+    def ninefold(h, r0):
+        prob, lam, phi = first_level(h, r0)
+        return prob, 9.0 * lam, phi
+
+    monkeypatch.setattr(eigensolve, "_first_level", ninefold)
+    with pytest.raises(NonconvergenceError, match="not certified as the first eigenvalue") as exc:
+        first_dirichlet_eigen(h, 1.0, method="shooting")
+    assert exc.value.code == "shooting"
+
+
+def test_shooting_a_sampled_density_takes_few_integrations(monkeypatch):
+    # (log h)' jumps at each of the 799 interior sample nodes, and LSODA
+    # shortens its step at every jump, so each integration is costly: count
+    # them (not their time) through the module's solve_ivp
+    grid = np.linspace(0.0, 1.0, 801)
+    h = Density.sampled(grid, np.sinh(grid) ** 2, interp_dim=3.0)
+    count = [0]
+    solve_ivp = eigensolve.solve_ivp
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "solve_ivp", counted)
+    sol = first_dirichlet_eigen(h, 1.0, method="shooting")
+    assert 1 <= count[0] <= 3
+    assert sol.flux_residual <= 100.0 * 1e-8
+    assert sol.eigenvalue == pytest.approx(first_dirichlet_eigen(h, 1.0).eigenvalue, rel=1e-6)
 
 
 def test_eigenvalue_scaling_law():
