@@ -15,9 +15,7 @@ _EXPORTS = {
     "errors": ("CdeigenError", "NonconvergenceError", "PreconditionError"),
     "modelspace": ("CdCheckReport", "Density", "check_cd_density", "max_diameter",
                    "model_density", "s_kappa"),
-    "eigensolve": ("EigenSolution", "WeightedEigenProblem", "assemble_weighted_problem",
-                   "first_dirichlet_eigen", "flux_identity_residual", "shoot_eigen",
-                   "weighted_integral"),
+    "eigensolve": ("EigenSolution", "first_dirichlet_eigen", "weighted_integral"),
     "bounds": ("BoundValue", "bessel_first_zero", "closed_form_bound",
                "essential_spectrum_threshold", "neumann_upper_bound"),
     "comparison": ("ComparisonReport", "RigidityVerdict", "comparison_residual",

@@ -93,16 +93,6 @@ def load_density_csv(path: str, interp_dim: float = 2.0) -> Density:
     return Density.sampled(thetas, values, interp_dim=interp_dim)
 
 
-def write_density_csv(h: Density, path: str) -> None:
-    """Write a sampled density as ``theta,h`` rows, 17 significant digits."""
-    if h.kind != "sampled":
-        raise PreconditionError("domain", "only sampled densities can be written to CSV")
-    with open(path, "w", newline="") as handle:
-        handle.write("theta,h\n")
-        for th, hv in zip(h.grid, h.values):
-            handle.write(f"{th:.17g},{hv:.17g}\n")
-
-
 # ------------------------------------------------------------- computations
 # Each compute function takes the parameter namespace and returns
 # (result, diagnostics) as plain dicts with deterministic key order.  It

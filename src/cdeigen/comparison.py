@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eigensolve import _cubic_hermite, _weighted_integrals, first_dirichlet_eigen
+from .eigensolve import _cubic_hermite, first_dirichlet_eigen, weighted_integral
 from .errors import PreconditionError
 from .modelspace import Density, ball_fits, check_cd_density, max_diameter
 
@@ -115,7 +115,7 @@ def comparison_residual(h: Density, K: float, N: float, r0: float, theta: float,
         p, dp = phi(t)
         return np.stack((dp * dp, p * p))
 
-    lhs, rhs = _weighted_integrals(squares, h, 0.0, theta, quad_tol).tolist()
+    lhs, rhs = weighted_integral(squares, h, 0.0, theta, quad_tol).tolist()
     rhs *= lam
     gap = rhs - lhs
     if rhs <= 0:

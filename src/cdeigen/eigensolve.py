@@ -13,14 +13,16 @@ left end where the weight h may vanish.  Two routes are provided:
   Rayleigh quotient of a conforming function on [0, r0], and
   lambda <= lambda_[a,r0] <= lambda / (1 - f), f being the converged
   eigenfunction's share below a;
-* a shooting method integrating the ODE phi'' + (log h)' phi' + lambda phi = 0
-  from near the singular end, together with its lambda-derivative, and
-  finding the root of phi(r0) by Newton's method from the first mesh
-  level's value.
+* ``shoot_eigen``, a shooting method integrating the ODE
+  phi'' + (log h)' phi' + lambda phi = 0 from near the singular end,
+  together with its lambda-derivative, and finding the root of phi(r0) by
+  Newton's method from the first mesh level's value; the root is certified
+  as the first eigenvalue by the sign of phi and by the flux identity.
 
-An adaptive Gauss-Kronrod quadrature for integrals against the measure
-h dtheta, the C^1 cubic Hermite interpolant of a solution's (phi, phi') and
-the flux-identity diagnostic live here as well.  Mesh size, bisections, the
+``weighted_integral``, the adaptive Gauss-Kronrod quadrature of one or
+several integrands against the measure h dtheta in one pass, the C^1 cubic
+Hermite interpolant of a solution's (phi, phi') and the flux-identity
+diagnostic live here as well.  Mesh size, bisections, the
 quadrature's panel budget and shooting's Newton steps are module constants,
 not parameters.
 
@@ -78,21 +80,6 @@ _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate((_WG_HALF[:3], _WG_HALF[::-1]))
 
 
-def _vectorized(f):
-    """Wrap a callable so it maps float arrays to float arrays."""
-    if not callable(f):
-        c = float(f)
-        return lambda x: np.full(np.shape(x), c)
-
-    def wrapped(x):
-        res = np.asarray(f(x), dtype=float)
-        if res.shape != np.shape(x):
-            res = np.broadcast_to(res, np.shape(x)).astype(float)
-        return res
-
-    return wrapped
-
-
 # Relative roundoff floor of a panel's error estimate, as in QUADPACK's qk15.
 _GK_ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 
@@ -140,21 +127,14 @@ _CUT_SHARE = 1e-16
 _MAX_PANELS = 4096
 
 
-def weighted_integral(f, h: Density, a: float, b: float, rel_tol: float = 1e-10) -> float:
+def weighted_integral(f, h: Density, a: float, b: float,
+                      rel_tol: float = 1e-10) -> float | np.ndarray:
     """Adaptive quadrature of int_a^b f(theta) h(theta) dtheta.
 
-    ``f`` may be a constant or a numpy-vectorizable callable.  This is the
-    one-row case of ``_weighted_integrals``, which describes the partition
-    and its refinement.
-    """
-    fv = _vectorized(f)
-    return float(_weighted_integrals(lambda x: fv(x)[None], h, a, b, rel_tol)[0])
-
-
-def _weighted_integrals(rows, h: Density, a: float, b: float, rel_tol: float) -> np.ndarray:
-    """Adaptive quadrature of the integrals int_a^b f_k(theta) h(theta)
-    dtheta in one pass: ``rows(x)`` returns the values f_k(x) as one row per
-    k, and h is evaluated once per point for all of them.
+    ``f`` is a constant, a numpy-vectorizable callable with one value per
+    point (the result is a float), or a callable that returns one row of
+    values per integrand, shape (k, n) for n points (the result is the array
+    of the k integrals, from one pass that evaluates h once per point).
 
     The initial partition breaks at ``_breaks(h, a, b)``, so h stays smooth
     per panel; all its panels are evaluated in one ``_gk_panel`` call.
@@ -179,8 +159,16 @@ def _weighted_integrals(rows, h: Density, a: float, b: float, rel_tol: float) ->
     if not rel_tol > 0:
         raise PreconditionError("domain", "rel_tol must be positive")
 
-    hv = _vectorized(h)
-    fh = lambda x: rows(x) * hv(x)
+    rows = False
+    if callable(f):
+        def fh(x):
+            nonlocal rows
+            fx = np.asarray(f(x), dtype=float)
+            rows = fx.ndim == 2
+            return fx * h(x)
+    else:
+        c = float(f)
+        fh = lambda x: c * h(x)
 
     pts = np.concatenate(([a], _breaks(h, a, b), [b]))
     lo, hi = pts[:-1], pts[1:]
@@ -192,7 +180,7 @@ def _weighted_integrals(rows, h: Density, a: float, b: float, rel_tol: float) ->
         target = rel_tol * np.maximum(np.abs(total), 1e-300)
         errsum = err.sum(axis=1)
         if np.all(errsum <= target):
-            return total
+            return total if rows else float(total[0])
         missed = errsum / target  # each row's error in units of its target
         # Panels too narrow to bisect in double precision stay frozen.
         wide = hi - lo >= min_width
@@ -275,7 +263,6 @@ _QMOM = np.stack((_QW, _QW * (1.0 - _QX) ** 2, _QW * _QX * (1.0 - _QX), _QW * _Q
 def assemble_weighted_problem(h: Density, r0: float, nodes) -> WeightedEigenProblem:
     """Assemble stiffness and mass matrices for the weight h on the mesh
     ``nodes``, which must increase strictly from 0 to r0."""
-    _validate_problem(h, r0)
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 3 or nodes[0] != 0.0 or nodes[-1] != r0 \
             or np.any(np.diff(nodes) <= 0):
@@ -659,15 +646,13 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     first level, bisection by factorization takes about 12.  On the default
     kk-bound curve the route solves out to N = 3000 (9 986 nodes at N =
     2300); at N = 6000 it raises ``refinement``.
-    The shooting route runs no matrix solve.  It takes the matrix route's
-    first level (``_first_level``), whose value is an upper bound on
-    lambda, and hands the bracket (1 - 1e-3, 1 + 1e-3) times that value to
-    ``shoot_eigen``, whose Newton search starts at the bracket's midpoint
-    and samples each integration at the first mesh's nodes.  phi and phi'
-    there come from the last integration, moved to the root to first order
-    by their lambda-derivatives.  It raises ``shooting`` unless phi is
-    positive at every interior node (by Sturm's oscillation theorem only
-    the first eigenfunction has no zero in (0, r0)), and applies the same
+    The shooting route is one call of ``shoot_eigen``, which runs no matrix
+    solve: Newton's method starts from the value of the matrix route's
+    first level (``_first_level``), an upper bound on lambda, and may not
+    leave (1 - 1e-3, 1 + 1e-3) times it; each integration is sampled at the
+    first mesh's nodes, and the last one gives phi and phi'.  The root is
+    certified as the first eigenvalue by Sturm's oscillation theorem (phi
+    positive at every interior node, else ``shooting``) and passes the same
     100*tol flux gate.  On model densities it agrees with the matrix route
     for K in [-5, 2], N in [1.05, 30] and r0 up to min(2.5, 0.9 *
     diameter), in 2 or 3 integrations, and on the default kk-bound curve
@@ -697,7 +682,7 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     try:
         with np.errstate(over="raise"):
             if method == "shooting":
-                return _shooting_solution(h, r0, tol)
+                return shoot_eigen(h, r0, tol)
             return _matrix_solution(h, r0, tol, _CUT_SHARE if cut else 0.0)
     except FloatingPointError:
         how = "overflows"
@@ -763,30 +748,29 @@ def _matrix_solution(h: Density, r0: float, tol: float, share: float) -> EigenSo
 
 # ------------------------------------------------------------------ shooting
 
-def solve_ivp(fun, t_span, y0, *, t_eval=None, rtol, atol):
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol):
     """LSODA on y' = fun(t, y) from t_span[0] to t_span[1], never stepping
-    past t_span[1].
+    past t_span[1], sampled at the increasing times ``t_eval``.
 
     ``scipy.integrate.odeint`` runs LSODA's step loop in compiled code and
     calls Python only for the right-hand side; it is imported on the first
     call, so that only shooting loads scipy.integrate.  The result has the
     fields of a ``scipy.integrate.solve_ivp`` result that shooting reads:
-    ``t`` (t_eval, or t_span[1] alone), ``y`` (one column per time),
-    ``nfev``, ``success`` and ``message``.  A failure is reported there, not
-    as an ``ODEintWarning``.  Shooting calls the integrator only through
-    this module global.
+    ``y`` (one column per time of t_eval), ``nfev``, ``success`` and
+    ``message``.  A failure is reported there, not as an ``ODEintWarning``.
+    Shooting calls the integrator only through this module global.
     """
     from scipy.integrate import ODEintWarning, odeint
 
     t0, t1 = t_span
-    t = np.array([t1] if t_eval is None else t_eval, dtype=float)
+    t = np.array(t_eval, dtype=float)
     # odeint's first row is y(t0); it serves a t_eval point at t0 as well.
     times = np.concatenate(([t0], t[t > t0]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)
         y, info = odeint(fun, y0, times, tfirst=True, rtol=rtol, atol=atol, tcrit=[t1],
                          mxstep=2**31 - 1, full_output=True)
-    return SimpleNamespace(t=t, y=y[times.size - t.size:].T, nfev=int(info["nfe"][-1]),
+    return SimpleNamespace(y=y[times.size - t.size:].T, nfev=int(info["nfe"][-1]),
                            success=info["message"] == "Integration successful.",
                            message=info["message"])
 
@@ -829,20 +813,18 @@ def _log_derivative(h: Density):
 _MAX_NEWTON_STEPS = 10
 
 
-def _shooting_machinery(h: Density, r0: float, nodes=None):
-    """The shooting ODE's integrator for one solve, and the list of its runs.
+def _shooting_machinery(h: Density, r0: float, nodes: np.ndarray):
+    """The shooting ODE's integrator for one solve.
 
     It starts at eps0 = 1e-6 r0 from phi(eps0) = 1 and the Frobenius term
     phi'(eps0) = -lambda eps0 / (1 + eps0 (log h)'(eps0)), the flux
     identity's -lambda eps0 / (1 + p) where h ~ theta^p; that needs no
     value of h, which underflows at large N.  ``integrate(lam)`` returns the
-    state at the ``nodes`` from eps0 on (default: r0 alone) and appends
-    (lam, state) to the runs."""
+    state at the ``nodes`` from eps0 on."""
     eps0 = r0 * 1e-6
     dlog = _log_derivative(h)
     start = eps0 / (1.0 + eps0 * dlog(eps0))
-    t_eval = None if nodes is None else nodes[nodes >= eps0]
-    runs = []
+    t_eval = nodes[nodes >= eps0]
 
     def integrate(lam):
         """Integrate (phi - 1, phi', d phi/d lambda, d phi'/d lambda) from
@@ -872,44 +854,46 @@ def _shooting_machinery(h: Density, r0: float, nodes=None):
             raise NonconvergenceError(
                 "stiffness", f"ODE integration at lambda = {lam!r} ended at a non-finite "
                 f"(phi, phi') = ({1.0 + ivp.y[0, -1]}, {ivp.y[1, -1]})")
-        runs.append((lam, ivp.y))
         return ivp.y
 
-    return integrate, runs
+    return integrate
 
 
-def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8, *, integrate=None) -> float:
-    """Shooting eigenvalue: root of lambda -> phi(r0) by Newton's method
-    from the midpoint of ``bracket``.
+def shoot_eigen(h: Density, r0: float, tol: float) -> EigenSolution:
+    """The shooting route of ``first_dirichlet_eigen``, which has validated
+    its arguments: the root of lambda -> phi(r0) by Newton's method,
+    certified as the first eigenvalue.
 
     phi'' + (log h)' phi' + lambda phi = 0 is integrated from eps0 = 1e-6 r0
     to r0 by LSODA (Adams/BDF, rtol 1e-11, atol 1e-13, through
     ``scipy.integrate.odeint``, never stepping past r0), starting from
     phi(eps0) = 1 and the Frobenius term phi'(eps0) = -lambda eps0 / (1 +
-    eps0 (log h)'(eps0)).  The same integration carries d phi/d lambda, so
-    each trial lambda costs one integration and gives both phi(r0) and the
-    Newton step -phi(r0) / (d phi/d lambda)(r0).  The search stops at the
-    first step no longer than tol * lambda, applies it and returns the
-    result.  Raises ``bracket`` when an iterate leaves the bracket,
-    ``stiffness`` when LSODA fails or ends at a non-finite state, and
-    ``shooting`` when the last integrated |phi(r0)| exceeds 100*tol or no
-    step is that short within ``_MAX_NEWTON_STEPS`` integrations.  The root
-    need not be the first eigenvalue; ``first_dirichlet_eigen`` checks that.
-    ``integrate`` is the integrator of ``_shooting_machinery(h, r0)``, built
-    here unless a shooting solve passes the one whose runs it reads.
+    eps0 (log h)'(eps0)), and sampled at the nodes of the matrix route's
+    first mesh.  The same integration carries d phi/d lambda, so each trial
+    lambda costs one integration and gives both phi(r0) and the Newton step
+    -phi(r0) / (d phi/d lambda)(r0).  Newton starts at the first level's
+    value (``_first_level``, an upper bound on lambda) and stops at the
+    first step no longer than tol * lambda, which it applies.  phi and phi'
+    at the nodes come from the last integration, moved to the root to first
+    order by their lambda-derivatives.
+
+    Raises ``bracket`` when an iterate leaves (1 - 1e-3, 1 + 1e-3) times the
+    first level's value, ``stiffness`` when LSODA fails or ends at a
+    non-finite state, ``shooting`` when the last integrated |phi(r0)|
+    exceeds 100*tol, when no step is that short within ``_MAX_NEWTON_STEPS``
+    integrations, or when phi is not positive at every interior node (by
+    Sturm's oscillation theorem only the first eigenfunction has no zero in
+    (0, r0)), and ``flux`` when the flux-identity residual exceeds 100*tol.
     """
-    _validate_problem(h, r0)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi) or not math.isfinite(hi):
-        raise PreconditionError("bracket", f"bracket must satisfy 0 < lo < hi, got ({lo}, {hi})")
-    _validate_tol(tol)
-
-    if integrate is None:
-        integrate, _ = _shooting_machinery(h, r0)
-
+    prob, est, _ = _first_level(h, r0)
+    nodes = prob.nodes
+    integrate = _shooting_machinery(h, r0, nodes)
+    lo, hi = (1.0 - 1e-3) * est, (1.0 + 1e-3) * est
     lam = 0.5 * (lo + hi)
+    history = []
     for _ in range(_MAX_NEWTON_STEPS):
         y = integrate(lam)
+        history.append(lam)
         miss, slope = 1.0 + float(y[0, -1]), float(y[2, -1])
         step = -miss / slope if slope else math.inf
         if not lo <= lam + step <= hi:
@@ -917,38 +901,31 @@ def shoot_eigen(h: Density, r0: float, bracket, tol: float = 1e-8, *, integrate=
                 "bracket", f"Newton's step from lambda = {lam!r} leaves the bracket "
                            f"({lo}, {hi}): phi(r0) = {miss:.3e}")
         if abs(step) <= tol * lam:
-            if abs(miss) > 100.0 * tol:
-                raise NonconvergenceError(
-                    "shooting", f"|phi(r0)| = {abs(miss):.3e} did not fall below tolerance")
-            return lam + step
+            break
         lam += step
-    raise NonconvergenceError(
-        "shooting", f"Newton's method did not settle to rel tol {tol} within "
-                    f"{_MAX_NEWTON_STEPS} integrations (last lambda = {lam!r})")
+    else:
+        raise NonconvergenceError(
+            "shooting", f"Newton's method did not settle to rel tol {tol} within "
+                        f"{_MAX_NEWTON_STEPS} integrations (last lambda = {lam!r})")
+    if abs(miss) > 100.0 * tol:
+        raise NonconvergenceError(
+            "shooting", f"|phi(r0)| = {abs(miss):.3e} did not fall below tolerance")
 
-
-def _shooting_solution(h: Density, r0: float, tol: float) -> EigenSolution:
-    prob, est, _ = _first_level(h, r0)
-    nodes = prob.nodes
-    integrate, runs = _shooting_machinery(h, r0, nodes)
-    lam = shoot_eigen(h, r0, ((1.0 - 1e-3) * est, (1.0 + 1e-3) * est), tol,
-                      integrate=integrate)
-
-    # phi and phi' at lam, to first order in lam - at from the last run;
+    # phi and phi' at the root, to first order in root - lam from the last run;
     # below the start point phi is flat to O(eps^2).  Pin the Dirichlet end.
-    at, y = runs[-1]
+    root = lam + step
     below = nodes.size - y.shape[1]
     phi = np.ones_like(nodes)
     dphi = np.zeros_like(nodes)
-    phi[below:] = 1.0 + y[0] + (lam - at) * y[2]
-    dphi[below:] = y[1] + (lam - at) * y[3]
+    phi[below:] = 1.0 + y[0] + (root - lam) * y[2]
+    dphi[below:] = y[1] + (root - lam) * y[3]
     phi[-1] = 0.0
     # Sturm: only the first eigenfunction keeps one sign on (0, r0).
     if not np.all(phi[:-1] > 0.0):
         raise NonconvergenceError(
-            "shooting", f"phi is not positive at every interior node, so lambda = {lam!r} "
+            "shooting", f"phi is not positive at every interior node, so lambda = {root!r} "
                         "is not certified as the first eigenvalue")
-    sol = _eigen_solution(h, nodes, lam, phi, "shooting", [at for at, _ in runs] + [lam], dphi)
+    sol = _eigen_solution(h, nodes, root, phi, "shooting", history + [root], dphi)
     if sol.flux_residual > 100.0 * tol:
         raise NonconvergenceError(
             "flux", f"flux-identity residual {sol.flux_residual:.3e} exceeds 100*tol"

@@ -20,8 +20,9 @@ from cdeigen.bounds import (
     essential_spectrum_threshold,
     neumann_upper_bound,
 )
-from cdeigen.cli import load_density_csv, main, write_density_csv
+from cdeigen.cli import load_density_csv, main
 from cd_family import cd_density_family
+from density_csv import write_density_csv
 from cdeigen.comparison import (
     comparison_residual,
     composed_tolerance,

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import cdeigen
-from cdeigen.cli import _sweep_grid, load_density_csv, main, write_density_csv
+from cdeigen.cli import _sweep_grid, load_density_csv, main
 from cdeigen.errors import PreconditionError
 from cdeigen.modelspace import Density, model_density
+from density_csv import write_density_csv
 
 
 def write_model_csv(path, K, N, scale=1.0, nodes=400, right=1.0):
@@ -80,11 +81,6 @@ def test_load_density_csv_skips_blank_lines(tmp_path):
     p.write_text("theta,h\n0,0\n\n0.5,1\n\n1,2\n")
     h = load_density_csv(str(p))
     assert h.grid.size == 3
-
-
-def test_write_density_csv_rejects_model():
-    with pytest.raises(PreconditionError):
-        write_density_csv(Density.model(0.0, 3.0, right=1.0), "/tmp/nope.csv")
 
 
 # ---------------------------------------------------------------- envelopes

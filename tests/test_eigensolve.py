@@ -17,7 +17,6 @@ from cdeigen.eigensolve import (
     assemble_weighted_problem,
     first_dirichlet_eigen,
     flux_identity_residual,
-    shoot_eigen,
     weighted_integral,
 )
 from cdeigen.errors import NonconvergenceError, PreconditionError
@@ -112,6 +111,15 @@ def test_weighted_integral_batches_panels(monkeypatch):
     exact = (math.cos(30.0) - 1.0) / 900.0 + math.sin(30.0) / 30.0
     assert val == pytest.approx(exact, rel=1e-11)
     assert 1 < len(calls) <= 4
+
+    # a callable with one row per integrand gives every integral from one
+    # pass: each matches its own one-row integral
+    h = Density.model(-1.0, 3.5, right=1.2)
+    both = weighted_integral(lambda th: np.stack((np.cos(th), th * th)), h, 0.1, 1.2)
+    assert both.shape == (2,)
+    assert both[0] == pytest.approx(weighted_integral(np.cos, h, 0.1, 1.2), rel=1e-10)
+    assert both[1] == pytest.approx(weighted_integral(lambda th: th * th, h, 0.1, 1.2),
+                                    rel=1e-10)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -363,6 +371,30 @@ def test_certified_shift_factors_and_sits_within_its_margin(monkeypatch):
             assert (1.0 - 2e-3) * lam <= sigma < lam, (h.K, h.N, level, sigma, lam)
 
 
+def _small_pencil(n=8):
+    # A = tridiag(-1, 2, -1) on unit masses B = I: lambda_1 = 2 - 2 cos(pi/(n+1))
+    return np.full(n, 2.0), np.full(n - 1, -1.0), np.ones(n), np.zeros(n - 1)
+
+
+def test_factor_below_falls_back_to_a_itself():
+    # mu far above lambda_1: no sigma in 64 halvings of (1 - 2e-3) mu
+    # factors, so the shift is 0 and the factors are those of A
+    ad, ao, bd, bo = _small_pencil()
+    sigma, d, e = eigensolve._factor_below(ad, ao, bd, bo, 1e30)
+    assert sigma == 0.0
+    d_a, e_a, info = scipy.linalg.lapack.dpttrf(ad, ao)
+    assert info == 0
+    assert d.tolist() == d_a.tolist() and e.tolist() == e_a.tolist()
+
+
+def test_factor_below_raises_factorization_when_a_is_not_definite():
+    ad, ao, bd, bo = _small_pencil()
+    ad[3] = -5.0
+    with pytest.raises(NonconvergenceError, match="factorization failed") as exc:
+        eigensolve._factor_below(ad, ao, bd, bo, 1.0)
+    assert exc.value.code == "factorization"
+
+
 def test_flat_weight_quarter_wave():
     # constant weight: natural condition at 0, Dirichlet at r0, so the
     # fundamental mode is cos(pi theta / (2 r0)) with eigenvalue (pi/2r0)^2
@@ -594,10 +626,10 @@ def test_solve_ivp_matches_scipy_lsoda():
         return (y[1], -lam * (1.0 + y[0]) - dlog(t) * y[1])
 
     eps0, y0 = 1e-6 * r0, [0.0, -lam * 1e-6 * r0 / h.N]
-    ours = eigensolve.solve_ivp(rhs, (eps0, r0), y0, rtol=1e-11, atol=1e-13)
+    ours = eigensolve.solve_ivp(rhs, (eps0, r0), y0, t_eval=[r0], rtol=1e-11, atol=1e-13)
     ref = scipy_solve_ivp(rhs, (eps0, r0), y0, method="LSODA", rtol=1e-11, atol=1e-13)
     assert ours.success and ref.success
-    assert ours.t.tolist() == [r0]
+    assert ours.y.shape == (2, 1)
     assert 1.0 + ours.y[0, -1] == pytest.approx(1.0 + ref.y[0, -1], rel=1e-12)
     assert ours.nfev == ref.nfev
     # the first output time sets LSODA's first step, so sampling at t_eval
@@ -622,9 +654,6 @@ def test_shooting_raises_stiffness_on_a_nan_right_hand_side(monkeypatch):
     monkeypatch.setattr(eigensolve, "_log_derivative", poisoned)
     h = Density.model(-2.0, 4.0)
     with pytest.raises(NonconvergenceError, match="lambda = ") as exc:
-        shoot_eigen(h, 1.0, (5.0, 30.0))
-    assert exc.value.code == "stiffness"
-    with pytest.raises(NonconvergenceError) as exc:
         first_dirichlet_eigen(h, 1.0, method="shooting")
     assert exc.value.code == "stiffness"
 
@@ -632,16 +661,15 @@ def test_shooting_raises_stiffness_on_a_nan_right_hand_side(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_shooting_raises_stiffness_when_lsoda_fails(monkeypatch):
     # an illegal tolerance makes odeint itself fail; the failure is coded
-    # and no ODEintWarning escapes.  The first lambda integrated is Newton's
-    # start, the bracket's midpoint.
+    # and no ODEintWarning escapes
     solve_ivp = eigensolve.solve_ivp
 
     def illegal(fun, t_span, y0, **kwargs):
         return solve_ivp(fun, t_span, y0, **{**kwargs, "rtol": -1.0})
 
     monkeypatch.setattr(eigensolve, "solve_ivp", illegal)
-    with pytest.raises(NonconvergenceError, match="lambda = 17.5 failed") as exc:
-        shoot_eigen(Density.model(-2.0, 4.0), 1.0, (5.0, 30.0))
+    with pytest.raises(NonconvergenceError, match="failed") as exc:
+        first_dirichlet_eigen(Density.model(-2.0, 4.0), 1.0, method="shooting")
     assert exc.value.code == "stiffness"
 
 
@@ -667,7 +695,7 @@ def test_shooting_start_cache_under_threads(monkeypatch):
     def work(i):
         local.case = i
         for _ in range(3):
-            results[i].append(shoot_eigen(cases[i], 1.0, (0.9 * matrix[i], 1.1 * matrix[i])))
+            results[i].append(first_dirichlet_eigen(cases[i], 1.0, method="shooting").eigenvalue)
 
     monkeypatch.setattr(eigensolve, "solve_ivp", recorded)
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
@@ -687,16 +715,23 @@ def test_shooting_start_cache_under_threads(monkeypatch):
         assert ratios and all(r == pytest.approx(want, rel=1e-12) for r in ratios)
 
 
-def test_shoot_eigen_bracket_behavior():
+def test_shoot_eigen_bracket_behavior(monkeypatch):
+    # flat weight: lambda = (pi/2)^2.  Newton may not leave (1 -/+ 1e-3)
+    # times the first level's value, so a start at 4 lambda raises bracket
     h = Density.sampled([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
     lam = (math.pi / 2.0) ** 2
-    out = shoot_eigen(h, 1.0, (0.8 * lam, 1.2 * lam))
+    out = first_dirichlet_eigen(h, 1.0, method="shooting").eigenvalue
     assert out == pytest.approx(lam, rel=1e-9)
-    with pytest.raises(PreconditionError) as exc:
-        shoot_eigen(h, 1.0, (4.0 * lam, 5.0 * lam))
+    first_level = eigensolve._first_level
+
+    def fourfold(h, r0):
+        prob, est, phi = first_level(h, r0)
+        return prob, 4.0 * est, phi
+
+    monkeypatch.setattr(eigensolve, "_first_level", fourfold)
+    with pytest.raises(PreconditionError, match="leaves the bracket") as exc:
+        first_dirichlet_eigen(h, 1.0, method="shooting")
     assert exc.value.code == "bracket"
-    with pytest.raises(PreconditionError):
-        shoot_eigen(h, 1.0, (-1.0, 2.0))
 
 
 def test_shooting_rejects_a_root_above_the_first_eigenvalue(monkeypatch):
@@ -704,8 +739,6 @@ def test_shooting_rejects_a_root_above_the_first_eigenvalue(monkeypatch):
     # lambda_2, whose eigenfunction cos(3 pi theta / 2) changes sign at 1/3;
     # by Sturm's oscillation theorem only lambda_1's keeps one sign
     h = Density.sampled([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
-    lam2 = 9.0 * (math.pi / 2.0) ** 2
-    assert shoot_eigen(h, 1.0, (0.99 * lam2, 1.01 * lam2)) == pytest.approx(lam2, rel=1e-9)
     first_level = eigensolve._first_level
 
     def ninefold(h, r0):
@@ -895,6 +928,19 @@ def test_refinement_budget_exhaustion(monkeypatch):
         first_dirichlet_eigen(h, 1.0, tol=1e-11)
     assert exc.value.code == "refinement"
     assert "within 2 refinements" in str(exc.value)
+
+
+@pytest.mark.parametrize("method", ["matrix", "shooting"])
+def test_flux_gate_rejects(monkeypatch, method):
+    # a settled eigenvalue whose eigenfunction fails the flux identity is
+    # rejected by either route; a small mesh and budget keep the matrix
+    # route, which keeps refining while the residual stays high, fast
+    monkeypatch.setattr(eigensolve, "_BASE_NODES", 16)
+    monkeypatch.setattr(eigensolve, "_MAX_REFINEMENTS", 4)
+    monkeypatch.setattr(eigensolve, "flux_identity_residual", lambda sol, h: 1.0)
+    with pytest.raises(NonconvergenceError, match="residual 1.000e[+]00") as exc:
+        first_dirichlet_eigen(Density.model(-1.0, 3.0), 1.0, tol=1e-6, method=method)
+    assert exc.value.code == "flux"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
