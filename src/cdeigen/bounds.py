@@ -5,16 +5,19 @@ first bound that needs the model geometry.  The first zero j_{nu,1} lies in
 (max(nu, 0), sqrt(2(nu+1)(nu+3))) and is found by Halley iteration.  Each
 step takes r = J_nu/J_{nu-1} from Gauss's continued fraction (Watson,
 *A Treatise on the Theory of Bessel Functions*, 1944, section 5.6) by the
-modified Lentz method (Thompson and Barnett, J. Comput. Phys. 64, 1986);
-then J_nu/J_nu' = r/(1 - nu r/x), from J_nu' = J_{nu-1} - (nu/x) J_nu, and
-J_nu''/J_nu' follows from Bessel's equation.  It starts from an Airy-type
-expansion for nu > 10, otherwise at 0.42 of the way from the lower bound
-sqrt((nu+1)(nu+5)) to the upper one, and stops after the first step
-shorter than 1e-6 of the zero.  Halley converges cubically: a step of
-relative length s leaves a relative error of order nu^(4/3) s^3, under
-1e-14 up to nu = 300, and past it the start is within 1.2e-7 of the zero.
-The result is checked against the bracket.  Where e = nu + 1 is below
-1e-4, the zero is its small-order expansion instead, with no J at all.
+modified Lentz method (Thompson and Barnett, J. Comput. Phys. 64, 1986),
+to a relative error near 1e-8; then J_nu/J_nu' = r/(1 - nu r/x), from
+J_nu' = J_{nu-1} - (nu/x) J_nu, and J_nu''/J_nu' follows from Bessel's
+equation.  An error in r only rescales the step, which vanishes at the
+zero.  The start is a cubic fit below nu = 1 and an Airy-type expansion
+from there, within 1.4e-3 of the zero at every order and 1.2e-7 from
+nu = 300; the iteration stops after the first step shorter than 1e-6 of
+the zero.  Halley converges cubically: a step of relative length s leaves
+a relative error of order nu^(4/3) s^3, so the second step (the first one
+from nu = 300) is the last, and the 1e-8 in r adds at most 1e-14.  The
+result is checked against the bracket.  Where e = nu + 1 is below 1e-4,
+the zero is its small-order expansion instead, with no J at all.  Orders
+past ``_MAX_ORDER`` are a ``domain`` error.
 ``bessel_first_zeros`` maps ``bessel_first_zero`` over an array of orders.
 
 Each closed form is written once: ``closed_form_bound`` evaluates it at a
@@ -57,28 +60,44 @@ def _small_order_zero(e: float) -> float:
     return 2.0 * math.sqrt(e) * (1.0 + e * (0.25 - 7.0 / 96.0 * e))
 
 
+# j_{nu,1}/(2 sqrt(e)) on -1 < nu < 1 as a cubic in e = nu + 1, coefficients
+# from e^0 up: the least-maximum relative error fit to the zeros, rounded.
+_LOW_ORDER_START = (1.0003, 0.24319, -0.048643, 0.007878)
+
+
 def _halley_start(nu: float) -> float:
-    """Starting point of the Halley iteration for j_{nu,1}."""
-    hi = math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0))
-    if nu > 10.0:
-        c = nu ** (1.0 / 3.0)
-        t = _AIRY_COEFFS
-        return nu + t[0] * c + t[1] / c + t[2] / nu + t[3] / (nu * c) + t[4] / (nu * nu / c)
-    lo = math.sqrt((nu + 1.0) * (nu + 5.0))
-    return lo + 0.42 * (hi - lo)
+    """Starting point of the Halley iteration for j_{nu,1}.  Below nu = 1 it
+    is the cubic ``_LOW_ORDER_START`` (within 3.2e-4 relative of the zero),
+    from nu = 1 the Airy-type expansion (within 1.4e-3 at nu = 1, 1.1e-4 at
+    nu = 10 and 1.2e-7 from nu = 300)."""
+    if nu < 1.0:
+        e = nu + 1.0
+        a = _LOW_ORDER_START
+        return 2.0 * math.sqrt(e) * (a[0] + e * (a[1] + e * (a[2] + e * a[3])))
+    c = nu ** (1.0 / 3.0)
+    t = _AIRY_COEFFS
+    return nu + t[0] * c + t[1] / c + t[2] / nu + t[3] / (nu * c) + t[4] / (nu * nu / c)
 
 
-# Terms of the continued fraction before ``_jv_ratio`` gives up: its
-# convergents settle within about 10 nu^(1/3) terms past the index where
-# 2(nu + k)/x passes 2, some 23 000 terms at nu = 1e10.
+# Terms of the continued fraction before ``_jv_ratio`` gives up.  Its
+# convergents settle only past the index where 2(nu + k)/x passes 2, about
+# 1.86 nu^(1/3) terms in; at the 1e-8 stop the fraction takes some
+# 8 nu^(1/3) terms in all, 62 000 at nu = 5e11, and from about nu = 1.9e12
+# it runs past this budget.
 _CF_TERMS = 100_000
+# Largest order ``bessel_first_zero`` accepts.  Below it the fraction ends
+# within ``_CF_TERMS``, and the 1e-8 stop cannot fire before the index
+# above: the convergents oscillate there, with factors at least
+# 2.7 nu^(-2/3) from 1 (4.3e-8 at this order).  From about nu = 4.5e12 that
+# gap is under 1e-8, and a stop there gives an r wrong in its first digits.
+_MAX_ORDER = 5e11
 _TINY = 1e-300
 
 
 def _jv_ratio(nu: float, x: float) -> float:
     """J_nu(x)/J_{nu-1}(x) = 1/(2nu/x - 1/(2(nu+1)/x - ...)), by the modified
     Lentz method on the denominator.  It stops at the first term whose
-    factor is within 1e-16 of 1, and is NaN at a NaN term or past
+    factor is within 1e-8 of 1, and is NaN at a NaN term or past
     ``_CF_TERMS`` terms."""
     h = 0.5 * x
     f = nu / h or _TINY
@@ -89,17 +108,19 @@ def _jv_ratio(nu: float, x: float) -> float:
         c = (b - 1.0 / c) or _TINY
         delta = c * d
         f *= delta
-        if not abs(delta - 1.0) >= 1e-16:
+        if not abs(delta - 1.0) >= 1e-8:
             return 1.0 / f
     return math.nan
 
 
 @lru_cache(maxsize=16384)
 def bessel_first_zero(nu: float) -> float:
-    """Smallest positive zero j_{nu,1} of J_nu, to 1e-12 relative accuracy."""
+    """Smallest positive zero j_{nu,1} of J_nu, to 1e-12 relative accuracy,
+    for -1 < nu <= ``_MAX_ORDER``; any other order is a ``domain`` error."""
     nu = float(nu)
-    if not nu > -1.0:
-        raise PreconditionError("domain", f"order must exceed -1, got {nu}")
+    if not -1.0 < nu <= _MAX_ORDER:
+        raise PreconditionError(
+            "domain", f"Bessel order must lie in (-1, {_MAX_ORDER:g}], got {nu}")
     if nu + 1.0 < _SMALL_ORDER:
         return _small_order_zero(nu + 1.0)
     x = _halley_start(nu)
@@ -121,8 +142,9 @@ def bessel_first_zero(nu: float) -> float:
 
 
 def bessel_first_zeros(nu):
-    """``bessel_first_zero`` over a 1-d array of orders nu > -1, with NaN
-    where that raises ``newton``.  Each zero comes through the module's
+    """``bessel_first_zero`` over a 1-d array of orders in (-1,
+    ``_MAX_ORDER``], with NaN where that raises ``newton``; an order outside
+    raises its ``domain`` error.  Each zero comes through the module's
     ``bessel_first_zero`` binding, so it is the scalar zero bit for bit."""
     import numpy as np
 

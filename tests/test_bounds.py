@@ -122,11 +122,42 @@ def test_first_zero_small_order(nu):
     assert max(nu, 0.0) < j < math.sqrt(2.0 * (nu + 1.0) * (nu + 3.0)) * (1.0 + 1e-12)
 
 
-def test_first_zero_domain_error():
-    with pytest.raises(PreconditionError):
-        bessel_first_zero(-1.0)
-    with pytest.raises(PreconditionError):
-        bessel_first_zero(-2.3)
+def test_halley_start_accuracy():
+    # Within 1.5e-3 of the zero below nu = 300, so two Halley steps reach
+    # it, and within 1.2e-7 from there, so one does.  reference_first_zero
+    # starts its search at x = 0.5, above the first zero for nu < -0.94;
+    # below nu = -0.9 the reference is the series root.
+    low = np.concatenate((-1.0 + np.geomspace(1e-4, 0.1, 25), np.linspace(-0.9, 1.0, 39),
+                          np.geomspace(1.0, 300.0, 40, endpoint=False)))
+    high = np.geomspace(300.0, 5e5, 30)
+    for nus, tol in ((low, 1.5e-3), (high, 1.2e-7)):
+        for nu in nus.tolist():
+            ref = (_small_order_reference(nu + 1.0) if nu < -0.9
+                   else reference_first_zero(nu))
+            assert bounds._halley_start(nu) == pytest.approx(ref, rel=tol), nu
+
+
+def test_first_zero_domain_error(monkeypatch):
+    # Refused before any continued fraction runs: past the supported orders,
+    # from nu near 1.9e12, the fraction would pass its term budget and the
+    # iteration stall.
+    monkeypatch.setattr(bounds, "_jv_ratio",
+                        lambda nu, x: pytest.fail("a continued fraction ran"))
+    for nu in (-1.0, -2.3, math.nextafter(bounds._MAX_ORDER, math.inf), 1e12, 1e30,
+               math.inf, math.nan):
+        with pytest.raises(PreconditionError) as exc:
+            bessel_first_zero(nu)
+        assert exc.value.code == "domain" and "(-1, 5e+11]" in exc.value.message, nu
+
+
+@pytest.mark.parametrize("nu", [3e11, bounds._MAX_ORDER])
+def test_first_zero_at_the_largest_supported_orders(nu):
+    # j_{nu,1} = nu + a nu^(1/3) + (3/10) a^2 nu^(-1/3) + O(1/nu), a = 2^(-1/3)
+    # times |a_1|, a_1 the first zero of Ai (DLMF 10.21.41); the O(1/nu)
+    # term is -4e-3/nu
+    a = 1.8557570814
+    pred = nu + a * nu ** (1.0 / 3.0) + 0.3 * a * a * nu ** (-1.0 / 3.0)
+    assert bessel_first_zero(nu) == pytest.approx(pred, rel=1e-12)
 
 
 _ORDERS = st.floats(min_value=-1.0, max_value=5e5, exclude_min=True)
@@ -135,8 +166,9 @@ _ORDERS_TO_1E5 = st.floats(min_value=-1.0, max_value=1e5, exclude_min=True)
 
 def test_first_zero_work_budget(monkeypatch):
     # Each golden-section step of a closed-form KK scan misses the cache:
-    # each miss sums at most 8 continued fractions (one per Halley step),
-    # and none below the small-order switch, where the expansion serves.
+    # each miss sums one continued fraction per Halley step, at most 2, and
+    # exactly 1 from nu = 300, where the start is within 1.2e-7; none below
+    # the small-order switch, where the expansion serves.
     ratio = bounds._jv_ratio
     fractions = 0
 
@@ -155,8 +187,10 @@ def test_first_zero_work_budget(monkeypatch):
         scalar.append(bessel_first_zero(float(nu)))
         if nu + 1.0 < bounds._SMALL_ORDER:
             assert fractions == before, nu
+        elif nu < 300.0:
+            assert 0 < fractions - before <= 2, (nu, fractions - before)
         else:
-            assert 0 < fractions - before <= 8, (nu, fractions - before)
+            assert fractions - before == 1, (nu, fractions - before)
     assert bessel_first_zero.cache_info().misses == nus.size
 
     # The batch, on a cold cache, gives the scalar zeros bit for bit.

@@ -570,6 +570,15 @@ def test_tiny_radius_is_a_domain_error(capsys, argv, radius, kind):
     assert kind in error["message"]
 
 
+def test_bessel_order_past_the_supported_range_is_a_domain_error(capsys):
+    # N = 1e30 needs the first zero of J_{5e29}; past the supported orders
+    # that is a domain error (exit 2), not a stalled iteration (exit 3)
+    rc, out, err = run_cli(capsys, "neumann-bound", "--K", "0", "--N", "1e30", "--diam", "2")
+    assert rc == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "domain" and "5e+29" in error["message"]
+
+
 def test_closed_form_past_sinh_overflow_is_quiet(capsys):
     rc, out, err = run_cli(capsys, "neumann-bound", "--K", "-1e6", "--N", "4", "--diam", "4")
     assert (rc, err) == (0, "")
