@@ -2,8 +2,13 @@
 
 The problem is the minimization of int (phi')^2 h dtheta / int phi^2 h dtheta
 over functions vanishing at r0, with natural (no) boundary condition at the
-left end where the weight h may vanish.  Two routes are provided:
+left end where the weight h may vanish.  Three routes are provided:
 
+* a Ritz route for model weights of small reach (``_spectral_solution``):
+  in x = (t/r0)^2 the model eigenfunction is analytic, so polynomials in x
+  of degree P vanishing at x = 1, with Gauss-Jacobi quadrature of the
+  weight x^(N/2-1), give lambda as the smallest eigenvalue of one dense
+  pencil of size P - 1, P doubling from 16 until two values agree;
 * a conforming piecewise-linear discretization whose generalized eigenvalue
   is a variational upper bound, refined by mesh bisection, each level
   Richardson-extrapolated against the one before.  Unless told not to cut,
@@ -27,7 +32,7 @@ quadrature's panel budget and shooting's Newton steps are module constants,
 not parameters.
 
 Only numpy and ``scipy.linalg`` load with this module, which is all the
-matrix route uses.  Shooting imports ``scipy.integrate`` the first time it
+matrix and Ritz routes use.  Shooting imports ``scipy.integrate`` the first time it
 runs (which loads ``scipy.optimize`` as well; shooting calls nothing of it).
 """
 
@@ -36,14 +41,14 @@ from __future__ import annotations
 import bisect as _bisect_mod
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
 from .errors import NonconvergenceError, PreconditionError
-from .modelspace import Density, ball_fits, max_diameter
+from .modelspace import Density, ball_fits, max_diameter, s_kappa
 
 # ------------------------------------------------------------------ quadrature
 # 15-point Kronrod extension of 7-point Gauss-Legendre (positive half).
@@ -468,10 +473,13 @@ class EigenSolution:
 
     phi is sampled on ``grid``, normalized to sup-norm 1 with nonnegative
     sign; dphi holds its nodal slopes (integrated by shooting, those of
-    5-node interpolants of phi by the matrix route).  refinement_history
-    records the matrix route's raw per-level eigenvalue estimates (the
-    final eigenvalue adds one Richardson step on top of the last entry), or
-    shooting's Newton iterates, from the first level's value, and its root.
+    5-node interpolants of phi by the matrix route, exact derivatives of the
+    Ritz polynomial by the Ritz route).  ``method`` is "matrix", "spectral"
+    (the Ritz route) or "shooting".  refinement_history records the matrix
+    route's raw per-level eigenvalue estimates (the final eigenvalue adds
+    one Richardson step on top of the last entry), the Ritz value at each
+    degree 16, 32, ... (the last is the eigenvalue), or shooting's Newton
+    iterates, from the first level's value, and its root.
     """
 
     eigenvalue: float
@@ -616,6 +624,22 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
                           method: str = "matrix", cut: bool = True) -> EigenSolution:
     """Smallest Dirichlet eigenvalue of the weight h on [0, r0].
 
+    ``method="matrix"`` takes the Ritz route (``_spectral_solution``,
+    ``EigenSolution.method`` "spectral") for a model weight whose reach r0
+    sqrt(max(|K|, |K|/(N - 1))) is below ``_SPECTRAL_REACH`` = 10, and, with
+    ``cut=False``, N at most ``_UNCUT_MAX_N`` = 30; everything else takes
+    the matrix route below (sampled weights, the N -> 2+ end of the default
+    kk-bound curve below N = 2.04, where the reach passes 10; it is 63 at
+    N = 2.001).  The Ritz route returns
+    the last of its Ritz values, which agree with the closed form within
+    2.1e-11 where that is exact (K = 0 or N = 3) and with the matrix route
+    within 1e-10 on K in [-5, 2], N in [1.05, 30], r0 up to min(2.5, 0.9 *
+    diameter).  On the default kk-bound curve it takes N from 2.04 up and
+    solves every N tried to 20 000, within 1e-12 of the closed form (nearly
+    exact there) from N = 1000 on, in about 1 ms up to N = 300, 3 ms at N =
+    2000 and 10 ms at N = 20 000.  Its phi passes the same 100*tol flux
+    gate.
+
     The matrix route bisects the first mesh (``_initial_nodes``: uniform,
     graded toward a vanishing weight at 0, every sample node a node) up to
     ``_MAX_REFINEMENTS`` times.  From that first level's lumped mass times
@@ -643,9 +667,9 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     itself (see ``_factor_below``): the warm start (1 - 2e-3) times that
     vector's Rayleigh quotient factors wherever the level lowers the value
     by less than 0.2 %, so such a level factors once; otherwise, and on the
-    first level, bisection by factorization takes about 12.  On the default
-    kk-bound curve the route solves out to N = 3000 (9 986 nodes at N =
-    2300); at N = 6000 it raises ``refinement``.
+    first level, bisection by factorization takes about 12.  Forced onto the
+    default kk-bound curve, the matrix route solves out to N = 3000 (9 986
+    nodes at N = 2300); at N = 6000 it raises ``refinement``.
     The shooting route is one call of ``shoot_eigen``, which runs no matrix
     solve: Newton's method starts from the value of the matrix route's
     first level (``_first_level``), an upper bound on lambda, and may not
@@ -663,10 +687,12 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
     where phi - 1 rounds to -1 near r0, so phi is not positive there).
     A weight whose values or matrix entries overflow double precision on
     [0, r0], or underflow so far that no mass is left, raises ``domain``
-    in either route; for a model weight the message names K, N and r0.
-    So does a mesh whose element widths square
-    to 0 (a tiny r0), from ``assemble_weighted_problem``, and, for a model
-    weight, a radius whose ball does not fit inside the model
+    in the matrix and shooting routes; for a model weight the message names
+    K, N and r0.  So does a mesh whose element widths square to 0 (a tiny
+    r0), from ``assemble_weighted_problem``.  The Ritz route solves the unit
+    problem and meets neither; it raises ``domain`` only when lambda itself
+    leaves double precision (r0 = 1e-160 at N = 3).  Every route raises
+    ``domain`` for a model radius whose ball does not fit inside the model
     (``ball_fits``: r0 < (1 - 1e-12) times the diameter bound).
     """
     _validate_problem(h, r0)
@@ -683,7 +709,11 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
         with np.errstate(over="raise"):
             if method == "shooting":
                 return shoot_eigen(h, r0, tol)
-            return _matrix_solution(h, r0, tol, _CUT_SHARE if cut else 0.0)
+            share = _CUT_SHARE if cut else 0.0
+            if h.kind == "model" and _spectral_reach(h, r0) < _SPECTRAL_REACH \
+                    and (cut or h.N <= _UNCUT_MAX_N):
+                return _spectral_solution(h, r0, tol, share)
+            return _matrix_solution(h, r0, tol, share)
     except FloatingPointError:
         how = "overflows"
     except _Massless:
@@ -744,6 +774,204 @@ def _matrix_solution(h: Density, r0: float, tol: float, share: float) -> EigenSo
         f"extrapolated eigenvalue did not settle to rel tol {tol} within {_MAX_REFINEMENTS} "
         f"refinements (history: {history})",
     )
+
+
+# ------------------------------------------------------------------ Ritz route
+
+# A model weight whose reach r0 sqrt(max(|K|, |kappa|)) lies below this bound
+# takes the Ritz route.  For K < 0 the Ritz values settle by degree 64, within
+# 2e-9 of the matrix route, for every N measured from 1.05 to 1000 at reach
+# 10 and 12; at 15 they do not for N = 3 to 30, where roundoff or an
+# indefinite mass matrix ends the doubling.  For K > 0 near the diameter the
+# Ritz route fails only where the matrix route fails too.  sqrt|kappa| r0
+# alone would admit K r0^2 = -225 at N = 10, which does not settle.
+_SPECTRAL_REACH = 10.0
+# Largest N of an uncut Ritz solve.  Where x^beta is tiny, near 0, the
+# expansion in the q_k turns the eigenvector's roundoff into an error of
+# phi: at K = 0 it is 1e-7 at N = 25, 2e-6 at N = 30 and 40, and 5e-4 at
+# N = 50, against the matrix route's 1e-5.
+_UNCUT_MAX_N = 30.0
+# Bisections of the first grid of an uncut Ritz solve.  Its phi is a test
+# function that the comparison integrates through the Hermite cubic, whose
+# phi' has slope jumps of order w^2 at the nodes; on the first grid they
+# fool the Gauss-Kronrod error estimate (model(-4, 3) against itself: gap
+# 2e-10 at quadrature tol 1e-10, 6e-12 after two bisections).
+_UNCUT_BISECTIONS = 2
+# Degrees of the Ritz route: 16, 32, ... up to the cap; a Gauss-Jacobi rule
+# of max(P, 32) + 40 nodes serves degree P, so 16 and 32 share one (with 20
+# extra nodes instead of 40 the default KK curve at N = 5000 does not settle).
+_FIRST_DEGREE = 16
+_MAX_DEGREE = 256
+
+
+def _spectral_reach(h: Density, r0: float) -> float:
+    """r0 sqrt(max(|K|, |kappa|)) of a model weight, kappa = K/(N - 1): the
+    scale-free curvature sqrt|K r0^2|, and sqrt|kappa| r0 for N < 2."""
+    return r0 * math.sqrt(abs(h.K) * max(1.0, 1.0 / (h.N - 1.0)))
+
+
+def _jacobi_matrix(beta: float, n: int):
+    """Diagonal d and off-diagonal e of the Jacobi matrix of x^beta on [0, 1]:
+    x q_k = e_k q_{k+1} + d_k q_k + e_{k-1} q_{k-1} for the polynomials q_k
+    orthonormal under x^beta dx / int x^beta dx, q_0 = 1 (the Jacobi
+    polynomials P_k^(0, beta)(2x - 1), scaled)."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    d = np.empty(n)
+    d[0] = beta / (beta + 2.0)
+    d[1:] = beta * beta / (s * (s + 2.0))
+    return 0.5 * (1.0 + d), k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+
+
+def _derivative_values(beta: float, x: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sqrt(omega_i) q_k'(x_i) from V = (sqrt(omega_i) q_k(x_i)), x inside (0, 1).
+
+    With y = 2x - 1 and s = 2k + beta, the Jacobi polynomials P_k =
+    P_k^(0, beta)(y) satisfy s (1 - y^2) P_k' = -k (beta + s y) P_k +
+    2k (k + beta) P_{k-1}; in x, for q_k = g_k P_k, g_k = sqrt((s + 1) /
+    (beta + 1)), that is one expression in the rows k and k - 1 of V."""
+    k = np.arange(1.0, V.shape[0])[:, None]
+    s = 2.0 * k + beta
+    ratio = np.sqrt((s + 1.0) / (s - 1.0))  # g_k / g_{k-1}
+    out = np.zeros_like(V)
+    out[1:] = (2.0 * k * (k + beta) * ratio * V[:-1] - k * (beta + s * (2.0 * x - 1.0)) * V[1:]) \
+        / (2.0 * s * x * (1.0 - x))
+    return out
+
+
+def _orthonormal_values(d, e, P: int, x: np.ndarray) -> np.ndarray:
+    """q_0, ..., q_{P-1} at the points x, one row each, by the recurrence
+    q_{k+1} = ((x - d_k) q_k - e_{k-1} q_{k-1}) / e_k."""
+    ramp = np.outer(1.0 / e[:P - 1], x) - (d[:P - 1] / e[:P - 1])[:, None]
+    back = e[:P - 2] / e[1:P - 1]
+    q = np.empty((P, x.size))
+    q[0] = 1.0
+    q[1] = ramp[0]
+    for k in range(1, P - 1):
+        np.multiply(ramp[k], q[k], out=q[k + 1])
+        q[k + 1] -= back[k - 1] * q[k - 1]
+    return q
+
+
+def _ritz_pair(beta, x, w, V, DV):
+    """Smallest Ritz pair of the unit model problem over the polynomials of
+    degree < P vanishing at x = 1, P = V.shape[0].
+
+    Column i of V holds sqrt(omega_i) q_k(x_i), omega the Gauss-Jacobi
+    weights, and DV the same for q_k'.  The polynomials vanishing at 1 are
+    the orthonormal complement of r = (q_k(1)) = sqrt((2k + beta + 1) /
+    (beta + 1)), spanned by all but the first column of the Householder
+    reflector that maps r to a multiple of e_0.  Returns the Ritz value
+    4 mu, mu the smallest eigenvalue of the pencil (int p'^2 x^(beta+1) w,
+    int p^2 x^beta w), and its eigenvector's coefficients in the q_k; a
+    pencil that lost definiteness to roundoff raises ``refinement``."""
+    P = V.shape[0]
+    v = np.sqrt((2.0 * np.arange(P) + beta + 1.0) / (beta + 1.0))
+    v[0] += math.sqrt(float(v @ v))
+    v *= math.sqrt(2.0) / math.sqrt(float(v @ v))  # H = I - v v^T
+
+    def reflect(X):
+        return (X - np.outer(v, v @ X))[1:]
+
+    A, B = reflect(V), reflect(DV)
+    try:
+        mu, y = eigh((B * (x * w)) @ B.T, (A * w) @ A.T, subset_by_index=[0, 0],
+                     check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonconvergenceError(
+            "refinement", f"the Ritz pencil of degree {P} lost definiteness: {exc}") from None
+    coef = np.concatenate(([0.0], y[:, 0]))
+    return 4.0 * float(mu[0]), coef - v * float(v @ coef)
+
+
+def _spectral_solution(h: Density, r0: float, tol: float, share: float) -> EigenSolution:
+    """The Ritz route of ``first_dirichlet_eigen`` for a model weight.
+
+    It solves the unit problem, lambda_{K,N,r0} = lambda_{K r0^2,N,1} / r0^2,
+    and scales its solution back to [0, r0]; the flux residual is blind to
+    the scale.  In x = t^2 on [0, 1] the model weight is t^(N-1)
+    (s_kappa(t)/t)^(N-1), so lambda = 4 min int p'^2 x^(beta+1) w / int p^2
+    x^beta w over p with p(1) = 0, beta = N/2 - 1, w = ((s_kappa(t)/t) /
+    s_kappa(1))^(N-1) taken in log space, w(1) = 1; the eigenfunction is
+    analytic in x.  Gauss-Jacobi quadrature of x^beta by Golub-Welsch
+    (``eigh_tridiagonal`` on the Jacobi matrix) gives V = (sqrt(omega_i)
+    q_k(x_i)), orthogonal, so no quadrature weight is formed, and
+    ``_derivative_values`` the same for the q_k'.
+    The degree P doubles from ``_FIRST_DEGREE`` until two Ritz values agree
+    to tol relatively (the last is returned), else ``refinement`` at
+    ``_MAX_DEGREE``.
+
+    phi = p(t^2) and phi' = 2 t p'(t^2) are sampled in closed form on
+    ``_initial_nodes``, bisected ``_UNCUT_BISECTIONS`` times for an uncut
+    solve (share 0).  When the rule's masses omega p^2 w put less than
+    ``share`` of the total below a node, the grid is 0 and ``_BASE_NODES``
+    uniform nodes on [a, 1], a the node before that one, with phi flat below
+    a as in the matrix route; there the orthonormal expansion would lose all
+    its digits at large N.  The grid is bisected until the flux-identity
+    residual is at most 100*tol, else ``flux`` after ``_MAX_REFINEMENTS``
+    bisections.
+    """
+    unit = Density.model(h.K * r0 * r0, h.N)
+    beta = 0.5 * h.N - 1.0
+    kap = unit.K / (h.N - 1.0)
+    history = []
+    P, rule_degree = _FIRST_DEGREE, 0
+    while True:
+        if max(P, 2 * _FIRST_DEGREE) != rule_degree:
+            rule_degree = max(P, 2 * _FIRST_DEGREE)
+            d, e = _jacobi_matrix(beta, rule_degree + 40)
+            x, V = eigh_tridiagonal(d, e, check_finite=False)
+            V *= np.sign(V[0])
+            t = np.sqrt(x)
+            w = np.exp((h.N - 1.0) * np.log(s_kappa(kap, t) / (t * s_kappa(kap, 1.0))))
+            DV = _derivative_values(beta, x, V[:rule_degree])
+        mu, coef = _ritz_pair(beta, x, w, V[:P], DV[:P])
+        history.append(mu)
+        if len(history) > 1 and abs(history[-1] - history[-2]) <= tol * history[-1]:
+            break
+        P *= 2
+        if P > _MAX_DEGREE:
+            raise NonconvergenceError(
+                "refinement", f"Ritz values did not settle to rel tol {tol} by degree "
+                              f"{_MAX_DEGREE} (history: {[lam / r0 / r0 for lam in history]})")
+
+    u = coef @ V[:P]  # sqrt(omega) p at the rule's nodes
+    if u.sum() < 0:
+        coef, u = -coef, -u
+    mass = np.cumsum(u * u * w)
+    j = int(np.searchsorted(mass, share * mass[-1]))
+    if j > 1:
+        nodes = np.concatenate(([0.0], np.linspace(math.sqrt(x[j - 1]), 1.0, _BASE_NODES)))
+        first = 1
+    else:
+        nodes, first = _initial_nodes(unit, 1.0), 0
+        for _ in range(0 if share else _UNCUT_BISECTIONS):
+            nodes = _bisect_nodes(nodes)
+    slope = V[:P] @ (coef @ DV[:P])  # p' in the q_k, by the exact quadrature
+    for _ in range(_MAX_REFINEMENTS + 1):
+        t = nodes[first:]
+        q = _orthonormal_values(d, e, P, t * t)
+        phi = np.empty(nodes.size)
+        dphi = np.zeros(nodes.size)
+        phi[first:] = coef @ q
+        phi[:first] = phi[first]
+        phi[-1] = 0.0
+        dphi[first:] = 2.0 * t * (slope @ q)
+        sol = _eigen_solution(unit, nodes, history[-1], phi, "spectral", history, dphi)
+        if sol.flux_residual <= 100.0 * tol:
+            history = [lam / r0 / r0 for lam in history]
+            if not math.isfinite(history[-1]):
+                raise PreconditionError(
+                    "domain", f"the eigenvalue of the model weight with K = {h.K}, N = {h.N} "
+                              f"leaves double precision at r0 = {r0}")
+            grid = r0 * nodes
+            grid[-1] = r0
+            return replace(sol, eigenvalue=history[-1], grid=grid, dphi=sol.dphi / r0,
+                           refinement_history=history)
+        nodes = np.concatenate((nodes[:first], _bisect_nodes(nodes[first:])))
+    raise NonconvergenceError(
+        "flux", f"flux-identity residual {sol.flux_residual:.3e} stayed above 100*tol "
+                f"within {_MAX_REFINEMENTS} bisections of the Ritz route's grid")
 
 
 # ------------------------------------------------------------------ shooting

@@ -27,7 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import _model_eigenvalue, bessel_first_zeros, closed_form_values, mode_radius
+from .bounds import (_MAX_ORDER, _model_eigenvalue, bessel_first_zeros, closed_form_values,
+                     mode_radius)
 from .errors import NonconvergenceError, PreconditionError
 from .modelspace import ball_fits, max_diameter
 
@@ -150,7 +151,14 @@ def _scan_grid(n: int, points: int):
     so every spec and mode index with that n shares them."""
     us = np.geomspace(1e-3, 1000.0 * n - n, points)
     Ns = n + us
-    grid = us, Ns, bessel_first_zeros(Ns / 2.0 - 1.0)
+    try:
+        zeros = bessel_first_zeros(Ns / 2.0 - 1.0)
+    except PreconditionError as exc:
+        # The orders N/2 - 1 grow along the scan, so the first one past the
+        # supported range is the one that failed.
+        N = Ns[np.searchsorted(Ns / 2.0 - 1.0, _MAX_ORDER, side="right")]
+        raise PreconditionError(exc.code, f"at N={N:.17g}: {exc.message}") from None
+    grid = us, Ns, zeros
     for a in grid:
         a.setflags(write=False)
     return grid
@@ -194,7 +202,10 @@ def kk_mass_bound_optimal(spec: CompactificationSpec, j: int = 1,
         raise PreconditionError("domain", f"golden_tol must lie in (0, 0.1), got {golden_tol}")
     n = spec.n_internal
     f = _objective(spec, j, method, solver_tol)
-    us, Ns, zeros = _scan_grid(n, int(grid_points))
+    try:
+        us, Ns, zeros = _scan_grid(n, int(grid_points))
+    except PreconditionError as exc:
+        raise PreconditionError(exc.code, f"N-scan of {spec} {exc.message}") from None
     if method == "closed_form":
         vals = _closed_form_scan(spec, j, Ns, zeros)
         # A point the array pass could not value raises its own coded error.

@@ -557,9 +557,12 @@ def test_overflowing_model_weight_exits_two(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, radius, kind", [
-    (["model-eigen", "--K", "0", "--N", "3", "--r0", "1e-150"], "1e-150", "underflows"),
-    (["model-eigen", "--K", "0", "--N", "3", "--r0", "1e-90"], "1e-90", "overflows"),
-    (["model-eigen", "--K", "0", "--N", "3", "--r0", "1e-160"], "1e-160", "too narrow"),
+    # lambda = pi^2 / r0^2 is about 1e320 and 1e400: past double precision
+    (["model-eigen", "--K", "0", "--N", "3", "--r0", "1e-160"], "1e-160", "leaves double"),
+    (["model-eigen", "--K", "0", "--N", "3", "--r0", "1e-200"], "1e-200", "leaves double"),
+    # shooting starts from the first mesh level, whose elements are too narrow
+    (["model-eigen", "--K", "0", "--N", "3", "--r0", "1e-160", "--method", "shooting"], "1e-160",
+     "too narrow"),
     (["neumann-bound", "--K", "-1", "--N", "4", "--diam", "1e-170"], "5e-171", "too small"),
 ])
 def test_tiny_radius_is_a_domain_error(capsys, argv, radius, kind):
@@ -570,6 +573,17 @@ def test_tiny_radius_is_a_domain_error(capsys, argv, radius, kind):
     assert kind in error["message"]
 
 
+@pytest.mark.parametrize("radius", ["1e-90", "1e-150"])
+def test_tiny_radius_solves_to_the_exact_eigenvalue(capsys, radius):
+    # the Ritz route solves the unit problem, lambda(K, N, r0) =
+    # lambda(K r0^2, N, 1) / r0^2, so no value of h at r0 scale is needed
+    rc, out, err = run_cli(capsys, "model-eigen", "--K", "0", "--N", "3", "--r0", radius)
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["diagnostics"]["method"] == "spectral"
+    assert doc["result"]["lambda"] == pytest.approx(math.pi ** 2 / float(radius) ** 2, rel=1e-9)
+
+
 def test_bessel_order_past_the_supported_range_is_a_domain_error(capsys):
     # N = 1e30 needs the first zero of J_{5e29}; past the supported orders
     # that is a domain error (exit 2), not a stalled iteration (exit 3)
@@ -577,6 +591,30 @@ def test_bessel_order_past_the_supported_range_is_a_domain_error(capsys):
     assert rc == 2 and out == ""
     error = json.loads(err)["error"]
     assert error["code"] == "domain" and "5e+29" in error["message"]
+
+
+def test_bessel_order_error_of_a_kk_scan_names_its_n_and_spec(capsys):
+    # D - d = 2e9 puts the scan's last orders N/2 - 1 past the supported
+    # range; the error names the first such N and the compactification
+    rc, out, err = run_cli(capsys, "kk-bound", "--D", "2000000001", "--d", "1", "--Lambda", "1",
+                           "--sigma", "0", "--diam", "2")
+    assert rc == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "domain"
+    N = float(re.search(r"at N=([0-9.e+]+):", error["message"]).group(1))
+    order = float(re.search(r"got ([0-9.e+]+)", error["message"]).group(1))
+    assert N / 2.0 - 1.0 == pytest.approx(order, rel=1e-15)
+    assert "D=2000000001, d=1" in error["message"]
+
+
+def test_model_eigen_solves_the_large_n_end_of_the_kk_curve(capsys):
+    # N = 6000 on the default kk-bound curve K = 1 - (N+2)/(N-2), r0 = 1
+    rc, out, err = run_cli(capsys, "model-eigen", "--K", repr(1.0 - 6002.0 / 5998.0), "--N", "6000",
+                           "--r0", "1")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["diagnostics"]["method"] == "spectral"
+    assert doc["result"]["lambda"] == pytest.approx(doc["result"]["upper_bound"], rel=1e-9)
 
 
 def test_closed_form_past_sinh_overflow_is_quiet(capsys):

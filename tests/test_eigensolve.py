@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -305,6 +305,7 @@ def test_inverse_iteration_stops_at_roundoff_on_kk_scan_end(monkeypatch):
         return dpttrs(*args)
 
     monkeypatch.setattr(eigensolve.lapack, "dpttrs", counted)
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     N = 2.001
     h = Density.model(1.0 - (N + 2.0) / (N - 2.0), N)
     sol = first_dirichlet_eigen(h, 1.0)
@@ -330,6 +331,7 @@ def test_inverse_iteration_raises_at_its_step_cap(monkeypatch):
         return y + 0.97 ** len(calls) * np.max(np.abs(y)), info
 
     monkeypatch.setattr(eigensolve.lapack, "dpttrs", perturbed)
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     with pytest.raises(NonconvergenceError) as exc:
         first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
     assert exc.value.code == "eigen-iteration"
@@ -357,6 +359,7 @@ def test_certified_shift_factors_and_sits_within_its_margin(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_factor_below", recorded_shift)
     monkeypatch.setattr(eigensolve, "_smallest_eigenpair", recorded_level)
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     # r0 = 1 on two models and on the default kk-bound curve K = 1 - (N+2)/(N-2)
     densities = [Density.model(-4.0, 3.0), Density.model(0.0, 1.05)]
     densities += [Density.model(1.0 - (N + 2.0) / (N - 2.0), N)
@@ -414,7 +417,8 @@ def test_flat_model_bessel_eigenvalues():
         assert sol.eigenvalue == pytest.approx((j / 1.3) ** 2, rel=2e-7), N
 
 
-def test_solution_shape_and_normalization():
+def test_solution_shape_and_normalization(monkeypatch):
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     sol = first_dirichlet_eigen(Density.model(-2.0, 3.0, right=1.0), 1.0)
     assert isinstance(sol, EigenSolution)
     assert sol.method == "matrix"
@@ -439,6 +443,7 @@ def test_eigenfunction_monotone_decreasing():
 
 def test_refinement_history_is_monotone_upper_bounds(monkeypatch):
     monkeypatch.setattr(eigensolve, "_BASE_NODES", 32)
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     sol = first_dirichlet_eigen(Density.model(1.0, 3.0, right=2.0), 2.0)
     hist = np.asarray(sol.refinement_history)
     assert hist.size >= 2
@@ -453,8 +458,84 @@ def test_raw_levels_never_rise(K, N, u):
     # N = 1 that holds only once the first mesh is graded toward the
     # theta^(N-1) end, where the elements' Gauss rules would miss it
     r0 = u * min(2.5, 0.9 * max_diameter(K, N))
-    hist = np.asarray(first_dirichlet_eigen(Density.model(K, N), r0).refinement_history)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
+        hist = np.asarray(first_dirichlet_eigen(Density.model(K, N), r0).refinement_history)
     assert np.all(np.diff(hist) <= 1e-13 * hist[1:]), (K, N, r0, hist)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(K=st.one_of(st.just(0.0), st.floats(-5.0, 2.0)),
+       N=st.one_of(st.just(3.0), st.floats(1.05, 30.0)), u=st.floats(0.05, 1.0))
+def test_ritz_route_agrees_with_the_closed_form_and_the_mesh(K, N, u):
+    # the Ritz route's region inside the box the shooting test also covers
+    r0 = u * min(2.5, 0.9 * max_diameter(K, N))
+    h = Density.model(K, N)
+    assume(eigensolve._spectral_reach(h, r0) < eigensolve._SPECTRAL_REACH)
+    sol = first_dirichlet_eigen(h, r0)
+    assert sol.method == "spectral"
+    assert sol.flux_residual <= 100.0 * 1e-8
+    bound = closed_form_bound(K, N, r0)
+    if bound.exact:
+        assert sol.eigenvalue == pytest.approx(bound.value, rel=1e-9), (K, N, r0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)
+        mesh = first_dirichlet_eigen(h, r0)
+    assert mesh.method == "matrix"
+    assert sol.eigenvalue == pytest.approx(mesh.eigenvalue, rel=1e-8), (K, N, r0)
+
+
+def test_ritz_history_holds_one_value_per_degree(monkeypatch):
+    # degrees 16 and 32 agree on (-4, 3); a cap of 16 leaves one value and
+    # raises `refinement`
+    sol = first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
+    assert len(sol.refinement_history) == 2
+    assert sol.eigenvalue == sol.refinement_history[-1]
+    assert sol.refinement_history[0] == pytest.approx(2.0 + math.pi ** 2, rel=1e-10)
+    monkeypatch.setattr(eigensolve, "_MAX_DEGREE", 16)
+    with pytest.raises(NonconvergenceError, match="by degree 16") as exc:
+        first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
+    assert exc.value.code == "refinement"
+
+
+def test_ritz_route_flux_gate_rejects(monkeypatch):
+    # every bisection of the sampling grid is checked, then `flux`
+    checks = []
+    monkeypatch.setattr(eigensolve, "flux_identity_residual",
+                        lambda sol, h: checks.append(sol.grid.size) or 1.0)
+    with pytest.raises(NonconvergenceError, match="residual 1.000e[+]00") as exc:
+        first_dirichlet_eigen(Density.model(-1.0, 3.0), 1.0, tol=1e-6)
+    assert exc.value.code == "flux"
+    assert len(checks) == eigensolve._MAX_REFINEMENTS + 1
+    assert checks[1] == 2 * checks[0] - 1
+
+
+def test_uncut_ritz_eigenfunction_is_the_exact_one():
+    # N = 3, K = 0 on [0, 2]: phi = sin(u)/u with u = pi t / 2, on all of
+    # [0, r0]; past N = 30 an uncut solve takes the mesh route
+    sol = first_dirichlet_eigen(Density.model(0.0, 3.0), 2.0, cut=False)
+    assert sol.method == "spectral" and sol.grid[0] == 0.0 and sol.grid[-1] == 2.0
+    u = 0.5 * math.pi * sol.grid
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.where(u > 0, np.sin(u) / u, 1.0)
+        dphi = np.where(u > 0, 0.5 * math.pi * (np.cos(u) - np.sin(u) / u) / u, 0.0)
+    assert np.max(np.abs(sol.phi - phi)) <= 1e-9
+    assert np.max(np.abs(sol.dphi - dphi)) <= 1e-8
+    assert first_dirichlet_eigen(Density.model(0.0, 40.0), 1.0, cut=False).method == "matrix"
+    assert first_dirichlet_eigen(Density.model(0.0, 40.0), 1.0).method == "spectral"
+
+
+def test_ritz_route_solves_where_the_weight_overflows():
+    # r0^999 overflows, which the mesh routes report as `domain` (see
+    # test_overflowing_model_weight_is_a_domain_error); the Ritz route
+    # solves the unit problem and scales lambda by 1/r0^2
+    K, N, r0 = 0.0, 1000.0, 10.0
+    sol = first_dirichlet_eigen(Density.model(K, N), r0)
+    assert sol.method == "spectral"
+    assert sol.eigenvalue == pytest.approx(closed_form_bound(K, N, r0).value, rel=1e-9)
+    with pytest.raises(PreconditionError) as exc:
+        first_dirichlet_eigen(Density.model(K, N), r0, method="shooting")
+    assert exc.value.code == "domain"
 
 
 def _kk_curve(N):
@@ -474,13 +555,25 @@ def test_shooting_starts_where_the_weight_underflows(N):
 
 
 @pytest.mark.parametrize("N", [2300.0, 3000.0])
-def test_matrix_route_solves_the_large_n_end_of_the_kk_curve(N):
+def test_matrix_route_solves_the_large_n_end_of_the_kk_curve(monkeypatch, N):
     # The factorization-certified shift keeps inverse iteration short where
     # a lumped-mass shift sat far below lambda.  The closed form is nearly
     # exact this far out.  N = 6000 still raises `refinement`: the first
     # mesh is not fitted to an eigenfunction so concentrated near r0.
     K = 1.0 - (N + 2.0) / (N - 2.0)
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     sol = first_dirichlet_eigen(_kk_curve(N), 1.0)
+    assert sol.flux_residual <= 100.0 * 1e-8
+    assert sol.eigenvalue == pytest.approx(closed_form_bound(K, N, 1.0).value, rel=1e-9)
+
+
+@pytest.mark.parametrize("N", [5000.0, 6000.0])
+def test_ritz_route_solves_the_large_n_end_of_the_kk_curve(N):
+    # the mesh route raises `refinement` here; the closed form is nearly
+    # exact this far out
+    K = 1.0 - (N + 2.0) / (N - 2.0)
+    sol = first_dirichlet_eigen(_kk_curve(N), 1.0)
+    assert sol.method == "spectral"
     assert sol.flux_residual <= 100.0 * 1e-8
     assert sol.eigenvalue == pytest.approx(closed_form_bound(K, N, 1.0).value, rel=1e-9)
 
@@ -489,6 +582,7 @@ def test_matrix_route_solves_the_large_n_end_of_the_kk_curve(N):
 def test_cut_below_the_mass_keeps_the_eigenvalue(monkeypatch, N):
     # at large N all but 1e-16 of h phi^2 lies near r0: after the first
     # level only [a, r0] is refined, with a natural end at a
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     sol = first_dirichlet_eigen(_kk_curve(N), 1.0)
     hist = np.asarray(sol.refinement_history)
     assert sol.grid[1] > 0.4
@@ -510,6 +604,7 @@ def test_cut_below_the_mass_keeps_the_eigenvalue(monkeypatch, N):
 
 
 def test_a_cut_that_removes_no_node_changes_nothing(monkeypatch):
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     sol = first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
     monkeypatch.setattr(eigensolve, "_CUT_SHARE", 0.0)
     ref = first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
@@ -535,9 +630,10 @@ def test_cut_keeps_the_sample_nodes_above_it_as_breaks(dim):
     assert sol.flux_residual <= 100.0 * 1e-8
 
 
-def test_model_near_N_1_is_an_upper_bound_within_five_levels():
+def test_model_near_N_1_is_an_upper_bound_within_five_levels(monkeypatch):
     # h = theta^0.05: every raw level is the Rayleigh quotient of a
     # conforming function, so it lies above j_{N/2-1,1}^2
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     sol = first_dirichlet_eigen(Density.model(0.0, 1.05), 1.0)
     exact = bessel_first_zero(1.05 / 2.0 - 1.0) ** 2
     assert len(sol.refinement_history) <= 5
@@ -909,8 +1005,9 @@ def test_solver_argument_validation():
     (0.0, 1000.0, 10.0),    # r0^999 overflows
 ])
 @pytest.mark.parametrize("method", ["matrix", "shooting"])
-def test_overflowing_model_weight_is_a_domain_error(K, N, r0, method):
+def test_overflowing_model_weight_is_a_domain_error(monkeypatch, K, N, r0, method):
     # RuntimeWarnings are errors in this suite: none may escape either
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     with pytest.raises(PreconditionError) as exc:
         first_dirichlet_eigen(Density.model(K, N), r0, method=method)
     assert exc.value.code == "domain"
@@ -923,6 +1020,7 @@ def test_refinement_budget_exhaustion(monkeypatch):
     # for two extrapolated values to agree to 1e-11
     monkeypatch.setattr(eigensolve, "_BASE_NODES", 16)
     monkeypatch.setattr(eigensolve, "_MAX_REFINEMENTS", 2)
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     h = Density.model(-1.0, 2.0, right=1.0)
     with pytest.raises(NonconvergenceError) as exc:
         first_dirichlet_eigen(h, 1.0, tol=1e-11)
@@ -937,6 +1035,7 @@ def test_flux_gate_rejects(monkeypatch, method):
     # route, which keeps refining while the residual stays high, fast
     monkeypatch.setattr(eigensolve, "_BASE_NODES", 16)
     monkeypatch.setattr(eigensolve, "_MAX_REFINEMENTS", 4)
+    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
     monkeypatch.setattr(eigensolve, "flux_identity_residual", lambda sol, h: 1.0)
     with pytest.raises(NonconvergenceError, match="residual 1.000e[+]00") as exc:
         first_dirichlet_eigen(Density.model(-1.0, 3.0), 1.0, tol=1e-6, method=method)

@@ -94,6 +94,23 @@ def test_cold_cli_loads_only_the_scipy_it_needs():
     assert report["mpmath"] is False
 
 
+def test_cold_ritz_route_loads_neither_special_nor_integrate():
+    # the Ritz route takes eigh_tridiagonal and eigh from scipy.linalg only
+    report = _fresh_interpreter_report("""
+        from cdeigen.cli import main
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["model-eigen", "--K", "-0.000666888962987663", "--N", "6000",
+                         "--r0", "1"]) == 0
+        report["method"] = json.loads(buf.getvalue())["diagnostics"]["method"]
+        report["model-eigen"] = loaded("scipy")
+    """)
+    assert report["method"] == "spectral"
+    assert "scipy.linalg" in report["model-eigen"]
+    for module in ("scipy.special", "scipy.integrate"):
+        assert module not in report["model-eigen"], module
+
+
 def test_cold_kk_bound_loads_no_scipy():
     report = _fresh_interpreter_report("""
         from cdeigen.cli import main

@@ -333,9 +333,9 @@ def test_solver_scan_completes_through_n_3000():
 
 def test_default_kk_scan_solver_range(capsys):
     # the (K(N), N) curve of the default kk-bound scan, r0 = diam/2 = 1,
-    # from the near-singular end N -> 2+ out to N = 2000
+    # from the near-singular end N -> 2+ out to N = 20 000
     s = spec_a()
-    for u in np.geomspace(1e-3, 1998.0, 12):
+    for u in np.geomspace(1e-3, 19998.0, 14):
         N = 2.0 + float(u)
         K = kk_curvature(s, N)
         assert K == pytest.approx(1.0 - (N + 2.0) / (N - 2.0), rel=1e-12)
