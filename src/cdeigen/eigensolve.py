@@ -2,10 +2,13 @@
 
 The problem is the minimization of int (phi')^2 h dtheta / int phi^2 h dtheta
 over functions vanishing at r0, with natural (no) boundary condition at the
-left end where the weight h may vanish.  Three routes are provided:
+left end where the weight h may vanish.  ``first_dirichlet_eigen`` maps
+every problem to the unit one (``Density._unit``: theta = r0 t, h over its
+largest value), whose eigenvalue is lambda r0^2, so no value at the scale
+of r0 enters a route.  Three routes solve it:
 
 * a Ritz route for model weights of small reach (``_spectral_solution``):
-  in x = (t/r0)^2 the model eigenfunction is analytic, so polynomials in x
+  in x = t^2 the model eigenfunction is analytic, so polynomials in x
   of degree P vanishing at x = 1, with Gauss-Jacobi quadrature of the
   weight x^(N/2-1), give lambda as the smallest eigenvalue of one dense
   pencil of size P - 1, P doubling from 16 until two values agree;
@@ -48,7 +51,7 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, lapack
 
 from .errors import NonconvergenceError, PreconditionError
-from .modelspace import Density, ball_fits, max_diameter, s_kappa
+from .modelspace import Density, _log_sine, ball_fits, max_diameter
 
 # ------------------------------------------------------------------ quadrature
 # 15-point Kronrod extension of 7-point Gauss-Legendre (positive half).
@@ -89,22 +92,29 @@ _WG[1:14:2] = np.concatenate((_WG_HALF[:3], _WG_HALF[::-1]))
 _GK_ROUNDOFF = 50.0 * float(np.finfo(float).eps)
 
 
+# Panels per call of the integrand: two rows of values over 512 panels take
+# 123 kB, under glibc's 128 kB mmap threshold; larger ones were re-faulted.
+_PANEL_BLOCK = 512
+
+
 def _gk_panel(fh, a, b):
     """One Gauss-Kronrod pass over each panel [a[i], b[i]].
 
-    ``a`` and ``b`` are arrays of panel ends; all 15 nodes of every panel go
-    through one call of the already-vectorized integrand fh, which returns
-    one row of values per integrand.  Returns the arrays (res, err) of
-    Kronrod values and error estimates, one row per integrand and one
-    column per panel.  An error estimate never drops below the roundoff
-    floor, so a tolerance beneath double precision exhausts the panel budget
-    instead of being met by an exact-looking Kronrod-Gauss difference.
+    ``a`` and ``b`` are arrays of panel ends; all 15 nodes of up to
+    ``_PANEL_BLOCK`` panels go through one call of the already-vectorized
+    integrand fh, which returns one row of values per integrand.  Returns
+    the arrays (res, err) of Kronrod values and error estimates, one row per
+    integrand and one column per panel.  An error estimate never drops below
+    the roundoff floor, so a tolerance beneath double precision exhausts the
+    panel budget instead of being met by an exact-looking Kronrod-Gauss
+    difference.
     """
     hw = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + hw[:, None] * _XK
-    vals = fh(x.ravel()).reshape(-1, *x.shape)
-    res_k = hw * (vals @ _WK)
-    res_g = hw * (vals @ _WG)
+    blocks = np.array_split(x, -(-len(x) // _PANEL_BLOCK))
+    sums = [(v @ _WK, v @ _WG)
+            for v in (fh(blk.ravel()).reshape(-1, *blk.shape) for blk in blocks)]
+    res_k, res_g = (hw * np.concatenate(z, axis=-1) for z in zip(*sums))
     return res_k, np.maximum(np.abs(res_k - res_g), _GK_ROUNDOFF * np.abs(res_k))
 
 
@@ -274,16 +284,11 @@ def assemble_weighted_problem(h: Density, r0: float, nodes) -> WeightedEigenProb
         raise PreconditionError("grid", "the mesh must increase strictly from 0 to r0")
 
     w = np.diff(nodes)
-    w2 = w * w
-    if not np.all(w2 > 0.0):  # else m0 / w2 is 0/0 or inf
-        raise PreconditionError(
-            "domain", f"an element of the mesh on [0, r0] with r0 = {r0} is too narrow: "
-                      "its width squared underflows double precision")
     pts = nodes[:-1, None] + w[:, None] * _QX[None, :]
     hv = np.asarray(h(pts.ravel()), dtype=float).reshape(pts.shape)
 
     m0, mll, mlr, mrr = (hv @ _QMOM).T * w
-    s = m0 / w2
+    s = m0 / (w * w)
 
     n = nodes.size
     stiff_diag = np.zeros(n - 1)
@@ -329,16 +334,6 @@ def _tri_mv(diag, off, x):
     y[:-1] += off * x[1:]
     y[1:] += off * x[:-1]
     return y
-
-
-# Largest scaled off-diagonal of the pencil that the model weight's range
-# admits: past it the weight's values leave double precision (see
-# ``_smallest_eigenpair``).
-_SQRT_MAX = math.sqrt(float(np.finfo(float).max))
-
-
-class _Massless(ArithmeticError):
-    """No row of the mesh keeps nonzero mass: h underflows on all of it."""
 
 
 def _lumped_mass(prob: WeightedEigenProblem) -> np.ndarray:
@@ -395,13 +390,7 @@ def _smallest_eigenpair(prob: WeightedEigenProblem, start, first: int = 0):
     quotient.  k0 follows the last row of zero lumped mass (h underflows up
     to there at large N), and is at least ``first``: 1 on a mesh cut at
     a = nodes[1], whose row at 0 would carry the share f of the mass below
-    a.  A mesh with no row of nonzero mass, or on which the start vector's
-    B-norm underflows to 0, raises ``_Massless``.  A mesh
-    whose off-diagonal scaled by the lumped masses, a_{i,i+1} /
-    sqrt(m_i m_{i+1}), exceeds sqrt(max double) raises FloatingPointError,
-    as numpy's overflow does: that is the model weight's range
-    precondition (at r0 = 1e-90 the inverse iteration degenerates without
-    it), kept until the model weight is solved scale-free.
+    a.  Fewer than two rows of nonzero mass raise ``refinement``.
 
     The shift comes from the factorization of A - sigma B itself (see
     ``_factor_below``), from the Rayleigh quotient mu0 of ``start`` (one
@@ -415,21 +404,16 @@ def _smallest_eigenpair(prob: WeightedEigenProblem, start, first: int = 0):
     lumped = _lumped_mass(prob)
     massless = np.flatnonzero(lumped == 0.0)
     k0 = max(first, int(massless[-1]) + 1 if massless.size else 0)
-    if k0 == lumped.size:
-        raise _Massless
+    if k0 > lumped.size - 2:
+        raise NonconvergenceError("refinement", "the weight's mass underflows on all but "
+                                  f"{lumped.size - k0} of {lumped.size} rows of the mesh")
     ad, ao = prob.stiff_diag[k0:].copy(), prob.stiff_off[k0:]
-    bd, bo, lumped = prob.mass_diag[k0:], prob.mass_off[k0:], lumped[k0:]
+    bd, bo = prob.mass_diag[k0:], prob.mass_off[k0:]
     ad[0] = -ao[0]
-
-    r = 1.0 / np.sqrt(lumped)
-    if not np.max(np.abs(ao * r[:-1] * r[1:]), initial=0.0) < _SQRT_MAX:
-        raise FloatingPointError("the scaled off-diagonal leaves the model weight's range")
 
     x = np.array(start[k0:], dtype=float)
     bx = _tri_mv(bd, bo, x)
     bnorm = math.sqrt(float(x @ bx))
-    if not bnorm > 0:  # the masses are so small that x B x underflows
-        raise _Massless
     x /= bnorm
     bx /= bnorm
     mu = float(x @ _tri_mv(ad, ao, x))
@@ -624,109 +608,85 @@ def first_dirichlet_eigen(h: Density, r0: float, tol: float = 1e-8,
                           method: str = "matrix", cut: bool = True) -> EigenSolution:
     """Smallest Dirichlet eigenvalue of the weight h on [0, r0].
 
+    Every route solves the unit problem ``h._unit(r0)`` on [0, 1]: lambda is
+    blind to a constant factor in h, and lambda_{K,N,r0} = lambda_{K r0^2,
+    N,1} / r0^2.  lambda and the history are scaled back by 1/r0^2, the grid
+    by r0 and dphi by 1/r0.  Reaches, ranges and accuracies below hold at
+    every r0.
+
     ``method="matrix"`` takes the Ritz route (``_spectral_solution``,
     ``EigenSolution.method`` "spectral") for a model weight whose reach r0
     sqrt(max(|K|, |K|/(N - 1))) is below ``_SPECTRAL_REACH`` = 10, and, with
     ``cut=False``, N at most ``_UNCUT_MAX_N`` = 30; everything else takes
-    the matrix route below (sampled weights, the N -> 2+ end of the default
-    kk-bound curve below N = 2.04, where the reach passes 10; it is 63 at
-    N = 2.001).  The Ritz route returns
-    the last of its Ritz values, which agree with the closed form within
-    2.1e-11 where that is exact (K = 0 or N = 3) and with the matrix route
-    within 1e-10 on K in [-5, 2], N in [1.05, 30], r0 up to min(2.5, 0.9 *
-    diameter).  On the default kk-bound curve it takes N from 2.04 up and
-    solves every N tried to 20 000, within 1e-12 of the closed form (nearly
-    exact there) from N = 1000 on, in about 1 ms up to N = 300, 3 ms at N =
-    2000 and 10 ms at N = 20 000.  Its phi passes the same 100*tol flux
-    gate.
+    the matrix route below (sampled weights; the default kk-bound curve
+    below N = 2.04, reach 63 at N = 2.001).  The last Ritz value agrees with
+    the closed form within 2.1e-11 where that is exact (K = 0 or N = 3) and
+    with the matrix route within 1e-10 on K in [-5, 2], N in [1.05, 30], r0
+    up to min(2.5, 0.9 * diameter); on the default kk-bound curve it solves
+    every N tried from 2.04 to 20 000 (1 ms to N = 300, 10 ms at 20 000).
+    Its phi passes the same 100*tol flux gate.
 
-    The matrix route bisects the first mesh (``_initial_nodes``: uniform,
-    graded toward a vanishing weight at 0, every sample node a node) up to
-    ``_MAX_REFINEMENTS`` times.  From that first level's lumped mass times
-    phi^2 it takes the cut a: the largest node below which the share is
-    under ``_CUT_SHARE`` = 1e-16.  When that drops a node, the later levels
-    keep 0 and a and bisect only [a, r0], with a natural end at a (see
-    ``_smallest_eigenpair``) and a a break of slope recovery.  The value
-    stays an upper bound and moves by a factor of at most 1/(1 - f), f the
-    converged eigenfunction's share below a.  The first level only
-    estimates f; on the default kk-bound curve at N = 30 to 2000 the
-    converged share measured 0.8e-16 to 1.3e-16, and the value stayed
-    within 2e-13 of the uncut solve.  Below a, phi repeats phi(a) and dphi
-    is 0: that is no approximation of the eigenfunction there, so a caller
-    that uses phi itself on all of [0, r0] (as a test function against
-    another density) passes ``cut=False``, and every level bisects all of
-    [0, r0].  From the second level on, each level's estimate is
-    Richardson-extrapolated, ex_k = lambda_k + (lambda_k -
-    lambda_{k-1})/3, and the route stops once two successive extrapolated
-    values agree to tol relatively (so at least three levels run).  It
-    returns the last extrapolated value once the flux-identity residual
-    falls below 100*tol (the eigenfunction can lag the eigenvalue on rough
-    weights), and raises ``flux`` or ``refinement`` when the levels run out.
-    Each level runs inverse iteration from the previous level's
-    eigenvector, at a shift certified by the factorization of A - sigma B
-    itself (see ``_factor_below``): the warm start (1 - 2e-3) times that
-    vector's Rayleigh quotient factors wherever the level lowers the value
-    by less than 0.2 %, so such a level factors once; otherwise, and on the
-    first level, bisection by factorization takes about 12.  Forced onto the
-    default kk-bound curve, the matrix route solves out to N = 3000 (9 986
-    nodes at N = 2300); at N = 6000 it raises ``refinement``.
-    The shooting route is one call of ``shoot_eigen``, which runs no matrix
-    solve: Newton's method starts from the value of the matrix route's
-    first level (``_first_level``), an upper bound on lambda, and may not
-    leave (1 - 1e-3, 1 + 1e-3) times it; each integration is sampled at the
-    first mesh's nodes, and the last one gives phi and phi'.  The root is
-    certified as the first eigenvalue by Sturm's oscillation theorem (phi
-    positive at every interior node, else ``shooting``) and passes the same
-    100*tol flux gate.  On model densities it agrees with the matrix route
-    for K in [-5, 2], N in [1.05, 30] and r0 up to min(2.5, 0.9 *
-    diameter), in 2 or 3 integrations, and on the default kk-bound curve
-    for N in [2.003, 88].  On that curve it fails as N -> 2+ (``shooting``
-    at N = 2.001, where Newton does not settle; ``flux`` at N = 2.0018,
-    residual 2.2e-6) and from about N = 90 on (``flux`` at N = 90, residual
-    1.05e-6; ``bracket`` at N = 150; ``shooting`` at N = 300 and 1000,
-    where phi - 1 rounds to -1 near r0, so phi is not positive there).
-    A weight whose values or matrix entries overflow double precision on
-    [0, r0], or underflow so far that no mass is left, raises ``domain``
-    in the matrix and shooting routes; for a model weight the message names
-    K, N and r0.  So does a mesh whose element widths square to 0 (a tiny
-    r0), from ``assemble_weighted_problem``.  The Ritz route solves the unit
-    problem and meets neither; it raises ``domain`` only when lambda itself
-    leaves double precision (r0 = 1e-160 at N = 3).  Every route raises
-    ``domain`` for a model radius whose ball does not fit inside the model
-    (``ball_fits``: r0 < (1 - 1e-12) times the diameter bound).
+    The matrix route bisects the first mesh (``_initial_nodes``) up to
+    ``_MAX_REFINEMENTS`` times.  The first level gives the cut a, the
+    largest node below which lumped mass times phi^2 has a share under
+    ``_CUT_SHARE`` = 1e-16; later levels bisect only [a, r0], with a natural
+    end at a (see ``_smallest_eigenpair``).  On the default kk-bound curve
+    at N = 30 to 2000 the converged share below a measured 0.8e-16 to
+    1.3e-16, and the value stayed within 2e-13 of the uncut solve.  Below a,
+    phi repeats phi(a) and dphi is 0, so a caller that uses phi on all of
+    [0, r0] (as a test function against another density) passes
+    ``cut=False``.  From the second level on each value is
+    Richardson-extrapolated, ex_k = lambda_k + (lambda_k - lambda_{k-1})/3;
+    the route returns once two successive ex_k agree to tol relatively and
+    the flux-identity residual is at most 100*tol, else ``flux`` or
+    ``refinement`` when the levels run out.  Forced onto the default
+    kk-bound curve it solves out to N = 3000; at N = 6000 it raises
+    ``refinement``.
+
+    The shooting route is one call of ``shoot_eigen``.  On model densities
+    it agrees with the matrix route for K in [-5, 2], N in [1.05, 30] and r0
+    up to min(2.5, 0.9 * diameter), in 2 or 3 integrations, and on the
+    default kk-bound curve for N in [2.003, 88].  There it fails as N -> 2+
+    (``shooting`` at N = 2.001, ``flux`` at N = 2.0018) and from about
+    N = 90 on (``flux`` at N = 90, ``bracket`` at N = 150, ``shooting`` at
+    N = 300 and 1000, where phi - 1 rounds to -1).
+
+    The scale raises ``domain`` only where lambda (r0 = 1e-160 at K = 0,
+    N = 3) or K r0^2 / (N - 1) leaves double precision, naming K, N and r0.
+    Every route raises ``domain`` for a model radius whose ball does not fit
+    inside the model (``ball_fits``: r0 < (1 - 1e-12) times the diameter
+    bound), and for a sampled weight that vanishes on [0, r0].
     """
     _validate_problem(h, r0)
     _validate_tol(tol)
     if method not in ("matrix", "shooting"):
         raise PreconditionError("domain", f"unknown method {method!r}")
 
-    # lambda is blind to a constant factor in h, but the assembly is not: a
-    # weight past the double range is a domain error, not an inf or NaN that
-    # fails in LAPACK.  Underflow alone is no error (h vanishes at 0); it is
-    # one once it leaves no mass.  Both routes start from the same first
-    # level, so both meet it there.
-    try:
-        with np.errstate(over="raise"):
-            if method == "shooting":
-                return shoot_eigen(h, r0, tol)
-            share = _CUT_SHARE if cut else 0.0
-            if h.kind == "model" and _spectral_reach(h, r0) < _SPECTRAL_REACH \
-                    and (cut or h.N <= _UNCUT_MAX_N):
-                return _spectral_solution(h, r0, tol, share)
-            return _matrix_solution(h, r0, tol, share)
-    except FloatingPointError:
-        how = "overflows"
-    except _Massless:
-        how = "underflows"
-    what = f"the model weight with K = {h.K}, N = {h.N}" if h.kind == "model" else "h"
-    raise PreconditionError(
-        "domain", f"{what} {how} double precision on [0, r0] with r0 = {r0}")
+    unit = h._unit(r0)
+    share = _CUT_SHARE if cut else 0.0
+    if method == "shooting":
+        sol = shoot_eigen(unit, tol)
+    elif unit.kind == "model" and _spectral_reach(unit, 1.0) < _SPECTRAL_REACH \
+            and (cut or unit.N <= _UNCUT_MAX_N):
+        sol = _spectral_solution(unit, tol, share)
+    else:
+        sol = _matrix_solution(unit, tol, share)
+    lam = sol.eigenvalue / r0 / r0
+    if not 0.0 < lam < math.inf:
+        what = f"the model weight with K = {h.K}, N = {h.N}" if h.kind == "model" else "h"
+        raise PreconditionError(
+            "domain", f"the eigenvalue of {what} leaves double precision at r0 = {r0}")
+    grid = r0 * sol.grid
+    grid[-1] = r0
+    return replace(sol, eigenvalue=lam, grid=grid, dphi=sol.dphi / r0,
+                   refinement_history=[v / r0 / r0 for v in sol.refinement_history])
 
 
 def _mass_cut(prob: WeightedEigenProblem, phi: np.ndarray, share: float) -> int:
     """Index j of the cut a = nodes[j]: the rows before it carry less than
     ``share`` of sum(lumped mass * phi^2)."""
-    c = np.cumsum(_lumped_mass(prob) * phi[:-1] ** 2)
+    # phi, B-normalized over masses near 0, could square past double range
+    c = np.cumsum(_lumped_mass(prob) * (phi[:-1] / np.max(np.abs(phi))) ** 2)
     return int(np.searchsorted(c, share * c[-1]))
 
 
@@ -740,8 +700,8 @@ def _first_level(h: Density, r0: float):
     return (prob, *_smallest_eigenpair(prob, 1.0 - (nodes[:-1] / r0) ** 2))
 
 
-def _matrix_solution(h: Density, r0: float, tol: float, share: float) -> EigenSolution:
-    prob, lam, phi = _first_level(h, r0)
+def _matrix_solution(h: Density, tol: float, share: float) -> EigenSolution:
+    prob, lam, phi = _first_level(h, 1.0)
     nodes = prob.nodes
     history = [lam]
     cut = 0  # 1 once nodes[0] = 0 lies below the natural end a = nodes[1]
@@ -753,7 +713,7 @@ def _matrix_solution(h: Density, r0: float, tol: float, share: float) -> EigenSo
         fine = np.concatenate((nodes[:cut], _bisect_nodes(nodes[cut:])))
         start = np.interp(fine[:-1], nodes, phi)
         nodes = fine
-        prob = assemble_weighted_problem(h, r0, nodes)
+        prob = assemble_weighted_problem(h, 1.0, nodes)
         lam, phi = _smallest_eigenpair(prob, start, cut)
         history.append(lam)
         ex = lam + (lam - history[-2]) / 3.0
@@ -772,7 +732,7 @@ def _matrix_solution(h: Density, r0: float, tol: float, share: float) -> EigenSo
     raise NonconvergenceError(
         "refinement",
         f"extrapolated eigenvalue did not settle to rel tol {tol} within {_MAX_REFINEMENTS} "
-        f"refinements (history: {history})",
+        f"refinements (history of the unit problem's lambda r0^2: {history})",
     )
 
 
@@ -884,15 +844,14 @@ def _ritz_pair(beta, x, w, V, DV):
     return 4.0 * float(mu[0]), coef - v * float(v @ coef)
 
 
-def _spectral_solution(h: Density, r0: float, tol: float, share: float) -> EigenSolution:
-    """The Ritz route of ``first_dirichlet_eigen`` for a model weight.
+def _spectral_solution(h: Density, tol: float, share: float) -> EigenSolution:
+    """The Ritz route of ``first_dirichlet_eigen`` for a unit model weight
+    (``Density._unit``) on [0, 1].
 
-    It solves the unit problem, lambda_{K,N,r0} = lambda_{K r0^2,N,1} / r0^2,
-    and scales its solution back to [0, r0]; the flux residual is blind to
-    the scale.  In x = t^2 on [0, 1] the model weight is t^(N-1)
-    (s_kappa(t)/t)^(N-1), so lambda = 4 min int p'^2 x^(beta+1) w / int p^2
-    x^beta w over p with p(1) = 0, beta = N/2 - 1, w = ((s_kappa(t)/t) /
-    s_kappa(1))^(N-1) taken in log space, w(1) = 1; the eigenfunction is
+    In x = t^2 the model weight is t^(N-1) (s_kappa(t)/t)^(N-1) up to a
+    constant, so lambda = 4 min int p'^2 x^(beta+1) w / int p^2 x^beta w over
+    p with p(1) = 0, beta = N/2 - 1, w = exp((N-1) (log s_kappa(t) - log t -
+    ``h._log_top``)) in log space (``_log_sine``); the eigenfunction is
     analytic in x.  Gauss-Jacobi quadrature of x^beta by Golub-Welsch
     (``eigh_tridiagonal`` on the Jacobi matrix) gives V = (sqrt(omega_i)
     q_k(x_i)), orthogonal, so no quadrature weight is formed, and
@@ -911,9 +870,8 @@ def _spectral_solution(h: Density, r0: float, tol: float, share: float) -> Eigen
     residual is at most 100*tol, else ``flux`` after ``_MAX_REFINEMENTS``
     bisections.
     """
-    unit = Density.model(h.K * r0 * r0, h.N)
     beta = 0.5 * h.N - 1.0
-    kap = unit.K / (h.N - 1.0)
+    kap = h.K / (h.N - 1.0)
     history = []
     P, rule_degree = _FIRST_DEGREE, 0
     while True:
@@ -923,7 +881,7 @@ def _spectral_solution(h: Density, r0: float, tol: float, share: float) -> Eigen
             x, V = eigh_tridiagonal(d, e, check_finite=False)
             V *= np.sign(V[0])
             t = np.sqrt(x)
-            w = np.exp((h.N - 1.0) * np.log(s_kappa(kap, t) / (t * s_kappa(kap, 1.0))))
+            w = np.exp((h.N - 1.0) * (_log_sine(kap, t) - np.log(t) - h._log_top))
             DV = _derivative_values(beta, x, V[:rule_degree])
         mu, coef = _ritz_pair(beta, x, w, V[:P], DV[:P])
         history.append(mu)
@@ -933,7 +891,8 @@ def _spectral_solution(h: Density, r0: float, tol: float, share: float) -> Eigen
         if P > _MAX_DEGREE:
             raise NonconvergenceError(
                 "refinement", f"Ritz values did not settle to rel tol {tol} by degree "
-                              f"{_MAX_DEGREE} (history: {[lam / r0 / r0 for lam in history]})")
+                              f"{_MAX_DEGREE} (history of the unit problem's lambda r0^2: "
+                              f"{history})")
 
     u = coef @ V[:P]  # sqrt(omega) p at the rule's nodes
     if u.sum() < 0:
@@ -944,7 +903,7 @@ def _spectral_solution(h: Density, r0: float, tol: float, share: float) -> Eigen
         nodes = np.concatenate(([0.0], np.linspace(math.sqrt(x[j - 1]), 1.0, _BASE_NODES)))
         first = 1
     else:
-        nodes, first = _initial_nodes(unit, 1.0), 0
+        nodes, first = _initial_nodes(h, 1.0), 0
         for _ in range(0 if share else _UNCUT_BISECTIONS):
             nodes = _bisect_nodes(nodes)
     slope = V[:P] @ (coef @ DV[:P])  # p' in the q_k, by the exact quadrature
@@ -957,17 +916,9 @@ def _spectral_solution(h: Density, r0: float, tol: float, share: float) -> Eigen
         phi[:first] = phi[first]
         phi[-1] = 0.0
         dphi[first:] = 2.0 * t * (slope @ q)
-        sol = _eigen_solution(unit, nodes, history[-1], phi, "spectral", history, dphi)
+        sol = _eigen_solution(h, nodes, history[-1], phi, "spectral", history, dphi)
         if sol.flux_residual <= 100.0 * tol:
-            history = [lam / r0 / r0 for lam in history]
-            if not math.isfinite(history[-1]):
-                raise PreconditionError(
-                    "domain", f"the eigenvalue of the model weight with K = {h.K}, N = {h.N} "
-                              f"leaves double precision at r0 = {r0}")
-            grid = r0 * nodes
-            grid[-1] = r0
-            return replace(sol, eigenvalue=history[-1], grid=grid, dphi=sol.dphi / r0,
-                           refinement_history=history)
+            return sol
         nodes = np.concatenate((nodes[:first], _bisect_nodes(nodes[first:])))
     raise NonconvergenceError(
         "flux", f"flux-identity residual {sol.flux_residual:.3e} stayed above 100*tol "
@@ -1041,22 +992,22 @@ def _log_derivative(h: Density):
 _MAX_NEWTON_STEPS = 10
 
 
-def _shooting_machinery(h: Density, r0: float, nodes: np.ndarray):
-    """The shooting ODE's integrator for one solve.
+def _shooting_machinery(h: Density, nodes: np.ndarray):
+    """The shooting ODE's integrator for one solve on [0, 1].
 
-    It starts at eps0 = 1e-6 r0 from phi(eps0) = 1 and the Frobenius term
+    It starts at eps0 = 1e-6 from phi(eps0) = 1 and the Frobenius term
     phi'(eps0) = -lambda eps0 / (1 + eps0 (log h)'(eps0)), the flux
     identity's -lambda eps0 / (1 + p) where h ~ theta^p; that needs no
     value of h, which underflows at large N.  ``integrate(lam)`` returns the
     state at the ``nodes`` from eps0 on."""
-    eps0 = r0 * 1e-6
+    eps0 = 1e-6
     dlog = _log_derivative(h)
     start = eps0 / (1.0 + eps0 * dlog(eps0))
     t_eval = nodes[nodes >= eps0]
 
     def integrate(lam):
         """Integrate (phi - 1, phi', d phi/d lambda, d phi'/d lambda) from
-        eps0 to r0 in one LSODA call; the lambda-derivative solves the
+        eps0 to 1 in one LSODA call; the lambda-derivative solves the
         variational equation, the ODE differentiated in lambda, from the
         lambda-derivative of the start values.
 
@@ -1072,34 +1023,35 @@ def _shooting_machinery(h: Density, r0: float, nodes: np.ndarray):
             phi = 1.0 + y[0]
             return (y[1], -lam * phi - d * y[1], y[3], -lam * y[2] - phi - d * y[3])
 
-        ivp = solve_ivp(rhs, (eps0, r0), [0.0, -lam * start, 0.0, -start], t_eval=t_eval,
+        ivp = solve_ivp(rhs, (eps0, 1.0), [0.0, -lam * start, 0.0, -start], t_eval=t_eval,
                         rtol=1e-11, atol=1e-13)
         if not ivp.success:
             raise NonconvergenceError(
-                "stiffness", f"ODE integration at lambda = {lam!r} failed: {ivp.message}")
+                "stiffness", f"ODE integration at the unit problem's lambda = {lam!r} failed: "
+                             f"{ivp.message}")
         # A NaN right-hand side does not stop LSODA; it ends "successfully".
         if not np.all(np.isfinite(ivp.y)):
             raise NonconvergenceError(
-                "stiffness", f"ODE integration at lambda = {lam!r} ended at a non-finite "
-                f"(phi, phi') = ({1.0 + ivp.y[0, -1]}, {ivp.y[1, -1]})")
+                "stiffness", f"ODE integration at the unit problem's lambda = {lam!r} ended at "
+                f"a non-finite (phi, phi') = ({1.0 + ivp.y[0, -1]}, {ivp.y[1, -1]})")
         return ivp.y
 
     return integrate
 
 
-def shoot_eigen(h: Density, r0: float, tol: float) -> EigenSolution:
-    """The shooting route of ``first_dirichlet_eigen``, which has validated
-    its arguments: the root of lambda -> phi(r0) by Newton's method,
-    certified as the first eigenvalue.
+def shoot_eigen(h: Density, tol: float) -> EigenSolution:
+    """The shooting route of ``first_dirichlet_eigen`` on the unit problem
+    h on [0, 1], so the lambda its errors quote is lambda r0^2: the root of
+    lambda -> phi(1) by Newton's method, certified as the first eigenvalue.
 
-    phi'' + (log h)' phi' + lambda phi = 0 is integrated from eps0 = 1e-6 r0
-    to r0 by LSODA (Adams/BDF, rtol 1e-11, atol 1e-13, through
-    ``scipy.integrate.odeint``, never stepping past r0), starting from
+    phi'' + (log h)' phi' + lambda phi = 0 is integrated from eps0 = 1e-6
+    to 1 by LSODA (Adams/BDF, rtol 1e-11, atol 1e-13, through
+    ``scipy.integrate.odeint``, never stepping past 1), starting from
     phi(eps0) = 1 and the Frobenius term phi'(eps0) = -lambda eps0 / (1 +
     eps0 (log h)'(eps0)), and sampled at the nodes of the matrix route's
     first mesh.  The same integration carries d phi/d lambda, so each trial
-    lambda costs one integration and gives both phi(r0) and the Newton step
-    -phi(r0) / (d phi/d lambda)(r0).  Newton starts at the first level's
+    lambda costs one integration and gives both phi(1) and the Newton step
+    -phi(1) / (d phi/d lambda)(1).  Newton starts at the first level's
     value (``_first_level``, an upper bound on lambda) and stops at the
     first step no longer than tol * lambda, which it applies.  phi and phi'
     at the nodes come from the last integration, moved to the root to first
@@ -1107,15 +1059,15 @@ def shoot_eigen(h: Density, r0: float, tol: float) -> EigenSolution:
 
     Raises ``bracket`` when an iterate leaves (1 - 1e-3, 1 + 1e-3) times the
     first level's value, ``stiffness`` when LSODA fails or ends at a
-    non-finite state, ``shooting`` when the last integrated |phi(r0)|
+    non-finite state, ``shooting`` when the last integrated |phi(1)|
     exceeds 100*tol, when no step is that short within ``_MAX_NEWTON_STEPS``
     integrations, or when phi is not positive at every interior node (by
     Sturm's oscillation theorem only the first eigenfunction has no zero in
-    (0, r0)), and ``flux`` when the flux-identity residual exceeds 100*tol.
+    (0, 1)), and ``flux`` when the flux-identity residual exceeds 100*tol.
     """
-    prob, est, _ = _first_level(h, r0)
+    prob, est, _ = _first_level(h, 1.0)
     nodes = prob.nodes
-    integrate = _shooting_machinery(h, r0, nodes)
+    integrate = _shooting_machinery(h, nodes)
     lo, hi = (1.0 - 1e-3) * est, (1.0 + 1e-3) * est
     lam = 0.5 * (lo + hi)
     history = []
@@ -1126,18 +1078,19 @@ def shoot_eigen(h: Density, r0: float, tol: float) -> EigenSolution:
         step = -miss / slope if slope else math.inf
         if not lo <= lam + step <= hi:
             raise PreconditionError(
-                "bracket", f"Newton's step from lambda = {lam!r} leaves the bracket "
-                           f"({lo}, {hi}): phi(r0) = {miss:.3e}")
+                "bracket", f"Newton's step from the unit problem's lambda = {lam!r} leaves "
+                           f"the bracket ({lo}, {hi}): phi(1) = {miss:.3e}")
         if abs(step) <= tol * lam:
             break
         lam += step
     else:
         raise NonconvergenceError(
             "shooting", f"Newton's method did not settle to rel tol {tol} within "
-                        f"{_MAX_NEWTON_STEPS} integrations (last lambda = {lam!r})")
+                        f"{_MAX_NEWTON_STEPS} integrations (the unit problem's last "
+                        f"lambda = {lam!r})")
     if abs(miss) > 100.0 * tol:
         raise NonconvergenceError(
-            "shooting", f"|phi(r0)| = {abs(miss):.3e} did not fall below tolerance")
+            "shooting", f"|phi(1)| = {abs(miss):.3e} did not fall below tolerance")
 
     # phi and phi' at the root, to first order in root - lam from the last run;
     # below the start point phi is flat to O(eps^2).  Pin the Dirichlet end.
@@ -1148,11 +1101,11 @@ def shoot_eigen(h: Density, r0: float, tol: float) -> EigenSolution:
     phi[below:] = 1.0 + y[0] + (root - lam) * y[2]
     dphi[below:] = y[1] + (root - lam) * y[3]
     phi[-1] = 0.0
-    # Sturm: only the first eigenfunction keeps one sign on (0, r0).
+    # Sturm: only the first eigenfunction keeps one sign on (0, 1).
     if not np.all(phi[:-1] > 0.0):
         raise NonconvergenceError(
-            "shooting", f"phi is not positive at every interior node, so lambda = {root!r} "
-                        "is not certified as the first eigenvalue")
+            "shooting", f"phi is not positive at every interior node, so the unit problem's "
+                        f"lambda = {root!r} is not certified as the first eigenvalue")
     sol = _eigen_solution(h, nodes, root, phi, "shooting", history + [root], dphi)
     if sol.flux_residual > 100.0 * tol:
         raise NonconvergenceError(

@@ -129,13 +129,34 @@ def ball_fits(K, N, r0):
     return r0 < (1.0 - 1e-12) * max_diameter(K, N)
 
 
-def _model_weight(K: float, N: float, th, top: float):
+def _log_sine(kappa: float, th):
+    """log s_kappa(theta) on (0, pi / sqrt(kappa)), for a finite float kappa:
+    the unit model weight's and the Ritz route's.  log sinh x = x +
+    log(-expm1(-2x)) - log 2 stays finite where sinh overflows."""
+    rk = math.sqrt(abs(kappa))
+    if kappa < 0:
+        x = rk * th
+        return x + np.log(-np.expm1(-2.0 * x) / (2.0 * rk))
+    return np.log(np.sin(rk * th) / rk if kappa > 0 else th)
+
+
+def _model_weight(K: float, N: float, th, top: float, log_top=None):
     """h_{K,N} at a checked theta (a float, or an array whose largest value
     is ``top``) at most 1e-12 relative past the diameter bound d: 0 at and
-    past d, max(s_kappa(theta), 0)^(N-1) before it.  The one evaluation
-    behind ``model_density`` and ``Density.__call__``."""
+    past d, max(s_kappa(theta), 0)^(N-1) before it.  With ``log_top``, on
+    [0, 1] inside (0, d), it is exp((N-1) (log s_kappa(theta) - log_top)),
+    taken in log space.  The one evaluation behind ``model_density`` and
+    ``Density.__call__``."""
     d = max_diameter(K, N)
-    kappa = K / (N - 1)
+    kappa = float(K) / (float(N) - 1.0)
+    if not math.isfinite(kappa):
+        raise PreconditionError(
+            "domain", f"kappa = K/(N - 1) leaves double precision at K = {K}, N = {N}")
+    if log_top is not None:
+        # log 0 = -inf at theta = 0, and (N - 1) times a log far below 0 may
+        # overflow to -inf: both give the weight 0
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp((N - 1.0) * (_log_sine(kappa, th) - log_top))
     if isinstance(th, float):
         if th >= d:
             return 0.0
@@ -182,6 +203,7 @@ class Density:
     values: np.ndarray | None = None
     interp_dim: float = 2.0
     g_values: np.ndarray | None = field(default=None, init=False, repr=False)
+    _log_top: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "sampled":
@@ -242,9 +264,33 @@ class Density:
             th = min(th, self.right) if scalar else np.minimum(th, self.right)
             top = self.right
         if self.kind == "model":
-            return _model_weight(self.K, self.N, th, top)
+            return _model_weight(self.K, self.N, th, top, self._log_top)
         out = np.interp(th, self.grid, self.g_values) ** (self.interp_dim - 1.0)
         return float(out) if scalar else out
+
+    def _unit(self, r0: float) -> "Density":
+        """The weight on [0, r0] as one on [0, 1], theta = r0 t, over its
+        largest value: the problem whose eigenvalue is lambda r0^2.  A model
+        weight becomes h_{K r0^2, N} over its value at t = min(1, pi / (2
+        sqrt(kappa))) (``_log_top`` in log space); a sampled one keeps its
+        nodes up to the first at or past r0 (``domain`` if h is 0 there)."""
+        if self.kind == "model":
+            kappa = self.K * r0 * r0 / (self.N - 1.0)
+            if not math.isfinite(kappa):
+                raise PreconditionError(
+                    "domain", f"K r0^2/(N - 1) leaves double precision for the model weight "
+                              f"with K = {self.K}, N = {self.N} at r0 = {r0}")
+            unit = Density.model(self.K * r0 * r0, self.N, right=1.0)
+            peak = min(1.0, 0.5 * math.pi / math.sqrt(kappa)) if kappa > 0 else 1.0
+            object.__setattr__(unit, "_log_top", float(_log_sine(kappa, peak)))
+            return unit
+        k = int(np.searchsorted(self.grid, r0)) + 1
+        top = float(np.max(self.values[:k]))
+        if not top > 0:
+            raise PreconditionError("domain", f"h vanishes on [0, r0] with r0 = {r0}")
+        grid = self.grid[:k] / r0
+        return Density(kind="sampled", right=float(grid[-1]), grid=grid,
+                       values=self.values[:k] / top, interp_dim=self.interp_dim)
 
     def positive_on_interior(self, r0: float) -> bool:
         """True when no sample node in (0, r0) carries a zero value."""
@@ -252,8 +298,6 @@ class Density:
             return True
         inside = (self.grid > 0) & (self.grid < r0)
         return bool(np.all(self.values[inside] > 0))
-
-
 
 
 # Nodes of the uniform grid on which a model density that the closed-form

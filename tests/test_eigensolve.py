@@ -19,7 +19,7 @@ from cdeigen.eigensolve import (
     flux_identity_residual,
     weighted_integral,
 )
-from cdeigen.errors import NonconvergenceError, PreconditionError
+from cdeigen.errors import CdeigenError, NonconvergenceError, PreconditionError
 from cdeigen.modelspace import Density, max_diameter
 
 # first positive zeros of the Bessel functions J_0, J_1 (classical values)
@@ -526,16 +526,16 @@ def test_uncut_ritz_eigenfunction_is_the_exact_one():
 
 
 def test_ritz_route_solves_where_the_weight_overflows():
-    # r0^999 overflows, which the mesh routes report as `domain` (see
-    # test_overflowing_model_weight_is_a_domain_error); the Ritz route
-    # solves the unit problem and scales lambda by 1/r0^2
+    # r0^999 overflows; every route solves the unit problem and scales
+    # lambda by 1/r0^2.  Shooting fails here as it does from N ~ 90 on at
+    # r0 = 1: Newton's root does not give a positive phi
     K, N, r0 = 0.0, 1000.0, 10.0
     sol = first_dirichlet_eigen(Density.model(K, N), r0)
     assert sol.method == "spectral"
     assert sol.eigenvalue == pytest.approx(closed_form_bound(K, N, r0).value, rel=1e-9)
-    with pytest.raises(PreconditionError) as exc:
+    with pytest.raises(NonconvergenceError) as exc:
         first_dirichlet_eigen(Density.model(K, N), r0, method="shooting")
-    assert exc.value.code == "domain"
+    assert exc.value.code == "shooting"
 
 
 def _kk_curve(N):
@@ -697,7 +697,8 @@ def test_shooting_ode_work(monkeypatch, K, N, r0, max_integrations, max_nfev):
         def rhs(t, y):
             count["nfev"] += 1
             assert count["nfev"] <= max_nfev, "ODE right-hand side evaluations over budget"
-            assert t <= r0, f"right-hand side evaluated at t = {t} beyond r0 = {r0}"
+            # the ODE runs in the unit variable t = theta / r0
+            assert t <= 1.0, f"right-hand side evaluated at t = {t} beyond 1"
             return fun(t, y)
 
         count["integrations"] += 1
@@ -1006,13 +1007,48 @@ def test_solver_argument_validation():
 ])
 @pytest.mark.parametrize("method", ["matrix", "shooting"])
 def test_overflowing_model_weight_is_a_domain_error(monkeypatch, K, N, r0, method):
-    # RuntimeWarnings are errors in this suite: none may escape either
+    # The name records that the weight at the scale of r0 overflows on each
+    # of these; normalized on [0, 1] it does not, so each solves or ends in
+    # its route's coded error.  RuntimeWarnings are errors in this suite:
+    # none may escape either
     monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
-    with pytest.raises(PreconditionError) as exc:
-        first_dirichlet_eigen(Density.model(K, N), r0, method=method)
-    assert exc.value.code == "domain"
-    for text in (f"K = {K}", f"N = {N}", f"r0 = {r0}"):
-        assert text in exc.value.message
+    h = Density.model(K, N)
+    fails = {(-1e6, "matrix"): "refinement", (-1e6, "shooting"): "shooting",
+             (0.0, "shooting"): "shooting"}.get((K, method))
+    if fails is not None:
+        with pytest.raises(NonconvergenceError) as exc:
+            first_dirichlet_eigen(h, r0, method=method)
+        assert exc.value.code == fails
+    elif K == 0.0:
+        # j^2 / r0^2, j the first zero of J_499
+        lam = first_dirichlet_eigen(h, r0, method=method).eigenvalue
+        assert lam == pytest.approx(closed_form_bound(K, N, r0).value, rel=1e-9)
+    else:
+        lam = first_dirichlet_eigen(h, r0, method=method).eigenvalue
+        other = "shooting" if method == "matrix" else "matrix"
+        assert lam == pytest.approx(first_dirichlet_eigen(h, r0, method=other).eigenvalue,
+                                    rel=1e-8)
+
+
+@pytest.mark.parametrize("Kr2", [-1e6, -1e4, -100.0, 0.0])
+@pytest.mark.parametrize("N", [1.001, 4.0, 60.0])
+@pytest.mark.parametrize("method", ["matrix", "shooting"])
+@pytest.mark.filterwarnings("error")
+def test_extreme_model_inputs_are_scale_free(Kr2, N, method):
+    # lambda_{K,N,r0} r0^2 depends on K r0^2 and N alone, so each route
+    # returns the same lambda r0^2 at r0 = 1e-150 (K up to -1e306) and at
+    # r0 = 1e3, or the same coded error at both; no warning escapes
+    outcomes = []
+    for r0 in (1e-150, 1e3):
+        try:
+            sol = first_dirichlet_eigen(Density.model(Kr2 / r0 / r0, N), r0, method=method)
+            outcomes.append(sol.eigenvalue * r0 * r0)
+        except CdeigenError as exc:
+            outcomes.append(exc.code)
+    if isinstance(outcomes[0], str):
+        assert outcomes[1] == outcomes[0]
+    else:
+        assert outcomes[1] == pytest.approx(outcomes[0], rel=1e-10)
 
 
 def test_refinement_budget_exhaustion(monkeypatch):

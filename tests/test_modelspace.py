@@ -191,6 +191,18 @@ def test_non_finite_kappa_is_a_domain_error(bad):
             assert exc.value.code == "domain"
 
 
+def test_overflowing_model_kappa_is_a_domain_error():
+    # K is finite but kappa = K/(N - 1) overflows to -inf: a coded error
+    # naming K and N, not NaN values with a RuntimeWarning
+    for theta in ([0.1, 0.2, 0.3], 0.2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError) as exc:
+                model_density(-1e306, 1.001, theta)
+        assert exc.value.code == "domain"
+        assert "K = -1e+306" in exc.value.message and "N = 1.001" in exc.value.message
+
+
 def test_ball_fits_at_positive_curvature():
     # (K, N) = (2, 3): the diameter is pi, lambda = -1 + pi^2/r0^2 in closed form
     d = max_diameter(2.0, 3.0)

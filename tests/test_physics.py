@@ -331,6 +331,20 @@ def test_solver_scan_completes_through_n_3000():
     assert solved.bound <= closed.bound
 
 
+def test_solver_scan_reaches_its_lower_end():
+    # D - d = 1: K(N) is about -1000 at the scan's lower end N = 1.001, where
+    # the weight at the scale of r0 overflowed; solved on [0, 1] the scan
+    # completes, its minimum at that end (unbracketed), below the
+    # closed-form scan's bound, which is an upper bound at every N
+    spec = CompactificationSpec(D=5, d=4, Lambda=0.0, sigma_w=1.0, diam=2.0)
+    solved = kk_mass_bound_optimal(spec, j=1, method="solver")
+    closed = kk_mass_bound_optimal(spec, j=1, method="closed_form")
+    assert not solved.bracketed
+    assert solved.N_star == pytest.approx(1.001, rel=1e-12)
+    assert solved.bound <= closed.bound
+    assert closed.bound == pytest.approx(4.118186975742305, rel=1e-9)
+
+
 def test_default_kk_scan_solver_range(capsys):
     # the (K(N), N) curve of the default kk-bound scan, r0 = diam/2 = 1,
     # from the near-singular end N -> 2+ out to N = 20 000
