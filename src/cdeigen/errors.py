@@ -21,7 +21,7 @@ class CdeigenError(Exception):
 
 class PreconditionError(CdeigenError):
     """An input violates a documented precondition (domain, hypothesis,
-    schema, bracket, grid shape, ...).  Maps to exit code 2."""
+    schema, grid shape, ...).  Maps to exit code 2."""
 
 
 class NonconvergenceError(CdeigenError):

@@ -187,24 +187,25 @@ def test_weighted_integral_split_stays_within_panel_budget(monkeypatch):
 
 
 def test_gridspec_uniform_and_geometric(monkeypatch):
-    # the initial mesh is _BASE_NODES uniform nodes on [0, r0], joined with
-    # the decades 1e-6 ... 1e-1 of r0 when the weight vanishes at 0
+    # the initial mesh of a unit problem is _BASE_NODES uniform nodes on
+    # [0, 1], joined with the decades 1e-6 ... 1e-1 when the weight
+    # vanishes at 0
     monkeypatch.setattr(eigensolve, "_BASE_NODES", 33)
-    u = eigensolve._initial_nodes(Density.sampled([0.0, 2.0, 3.0], [1.0, 1.0, 1.0]), 2.0)
-    assert u.size == 33 and u[0] == 0.0 and u[-1] == 2.0
-    assert np.allclose(np.diff(u), 2.0 / 32)
-    g = eigensolve._initial_nodes(Density.model(0.0, 3.0), 2.0)
-    decades = 2.0 * np.logspace(-6.0, -1.0, 6)
+    u = eigensolve._initial_nodes(Density.sampled([0.0, 1.0, 1.5], [1.0, 1.0, 1.0]))
+    assert u.size == 33 and u[0] == 0.0 and u[-1] == 1.0
+    assert np.allclose(np.diff(u), 1.0 / 32)
+    g = eigensolve._initial_nodes(Density.model(0.0, 3.0))
+    decades = np.logspace(-6.0, -1.0, 6)
     assert g.tolist() == np.union1d(u, decades).tolist()
 
 
 def test_gridspec_include_points(monkeypatch):
-    # a sampled density's nodes join inside (0, r0) only, and a sample node
-    # within 1e-14 r0 of a uniform node is not doubled
+    # a sampled density's nodes join inside (0, 1) only, and a sample node
+    # within 1e-14 of a uniform node is not doubled
     monkeypatch.setattr(eigensolve, "_BASE_NODES", 16)
     h = Density.sampled([0.0, 0.2 + 1e-16, 0.33, 0.5, 0.77, 1.0, 1.2, 1.5],
                         [1.0, 1.0, 1.5, 2.0, 1.5, 1.0, 1.0, 1.0])
-    n = eigensolve._initial_nodes(h, 1.0)
+    n = eigensolve._initial_nodes(h)
     assert n[0] == 0.0 and n[-1] == 1.0
     assert 0.33 in n and 0.77 in n and 0.5 in n
     assert 1.2 not in n and 1.5 not in n
@@ -219,9 +220,9 @@ def test_assembly_matches_hat_function_quadrature():
     reproduce a small mesh with scipy.integrate.quad element by element."""
     from scipy.integrate import quad
 
-    h = Density.model(-1.0, 3.0, right=1.5)  # integer N keeps h smooth at 0
-    nodes = np.linspace(0.0, 1.5, 8)
-    prob = assemble_weighted_problem(h, 1.5, nodes)
+    h = Density.model(-1.0, 3.0, right=1.0)  # integer N keeps h smooth at 0
+    nodes = np.linspace(0.0, 1.0, 8)
+    prob = assemble_weighted_problem(h, nodes)
 
     def hat(i, x):
         x = np.asarray(x)
@@ -246,13 +247,13 @@ def test_assembly_matches_hat_function_quadrature():
     kw = dict(points=nodes, limit=200, epsabs=1e-13, epsrel=1e-12)
     m = prob.stiff_diag.size
     for i in range(m):
-        s_ii = quad(lambda x: dhat(i, x) ** 2 * h(x), 0.0, 1.5, **kw)[0]
-        m_ii = quad(lambda x: hat(i, x) ** 2 * h(x), 0.0, 1.5, **kw)[0]
+        s_ii = quad(lambda x: dhat(i, x) ** 2 * h(x), 0.0, 1.0, **kw)[0]
+        m_ii = quad(lambda x: hat(i, x) ** 2 * h(x), 0.0, 1.0, **kw)[0]
         assert prob.stiff_diag[i] == pytest.approx(s_ii, rel=1e-9, abs=1e-13)
         assert prob.mass_diag[i] == pytest.approx(m_ii, rel=1e-9, abs=1e-13)
     for i in range(m - 1):
-        s_io = quad(lambda x: dhat(i, x) * dhat(i + 1, x) * h(x), 0.0, 1.5, **kw)[0]
-        m_io = quad(lambda x: hat(i, x) * hat(i + 1, x) * h(x), 0.0, 1.5, **kw)[0]
+        s_io = quad(lambda x: dhat(i, x) * dhat(i + 1, x) * h(x), 0.0, 1.0, **kw)[0]
+        m_io = quad(lambda x: hat(i, x) * hat(i + 1, x) * h(x), 0.0, 1.0, **kw)[0]
         assert prob.stiff_off[i] == pytest.approx(s_io, rel=1e-9, abs=1e-13)
         assert prob.mass_off[i] == pytest.approx(m_io, rel=1e-9, abs=1e-13)
 
@@ -260,13 +261,13 @@ def test_assembly_matches_hat_function_quadrature():
 def test_explicit_grid_validation():
     h = Density.model(0.0, 3.0, right=1.0)
     with pytest.raises(PreconditionError):
-        assemble_weighted_problem(h, 1.0, np.array([0.1, 0.5, 1.0]))
+        assemble_weighted_problem(h, np.array([0.1, 0.5, 1.0]))
     with pytest.raises(PreconditionError):
-        assemble_weighted_problem(h, 1.0, np.array([0.0, 0.5, 0.9]))
+        assemble_weighted_problem(h, np.array([0.0, 0.6, 0.4, 1.0]))
     with pytest.raises(PreconditionError):
-        assemble_weighted_problem(h, 1.0, np.array([0.0, 0.6, 0.4, 1.0]))
-    with pytest.raises(PreconditionError):
-        assemble_weighted_problem(h, 1.0, np.array([0.0, 1.0]))
+        assemble_weighted_problem(h, np.array([0.0, 1.0]))
+    # the mesh's last node is the Dirichlet end, eliminated from the unknowns
+    assert assemble_weighted_problem(h, np.array([0.0, 0.5, 0.9])).stiff_diag.size == 2
 
 
 def _dense_smallest_eigenvalue(prob):
@@ -285,9 +286,9 @@ def test_inverse_iteration_matches_dense_eigh(monkeypatch):
     vals[0] = 0.0
     h = Density.sampled(grid, vals)
     sol = first_dirichlet_eigen(h, 1.0, tol=1e-6)
-    nodes = eigensolve._initial_nodes(h, 1.0)
+    nodes = eigensolve._initial_nodes(h)
     assert sol.grid[::2 ** (len(sol.refinement_history) - 1)].tolist() == nodes.tolist()
-    lam_dense = _dense_smallest_eigenvalue(assemble_weighted_problem(h, 1.0, nodes))
+    lam_dense = _dense_smallest_eigenvalue(assemble_weighted_problem(h, nodes))
     assert sol.refinement_history[0] == pytest.approx(lam_dense, rel=1e-10)
 
 
@@ -310,9 +311,9 @@ def test_inverse_iteration_stops_at_roundoff_on_kk_scan_end(monkeypatch):
     h = Density.model(1.0 - (N + 2.0) / (N - 2.0), N)
     sol = first_dirichlet_eigen(h, 1.0)
     assert len(calls) <= 30
-    coarse = eigensolve._initial_nodes(h, 1.0)
+    coarse = eigensolve._initial_nodes(h)
     for level, nodes in enumerate((coarse, eigensolve._bisect_nodes(coarse))):
-        dense = _dense_smallest_eigenvalue(assemble_weighted_problem(h, 1.0, nodes))
+        dense = _dense_smallest_eigenvalue(assemble_weighted_problem(h, nodes))
         assert sol.refinement_history[level] == pytest.approx(dense, rel=1e-10), level
     ref = first_dirichlet_eigen(h, 1.0, tol=1e-11).eigenvalue
     assert sol.eigenvalue == pytest.approx(ref, rel=1e-8)
@@ -471,7 +472,7 @@ def test_ritz_route_agrees_with_the_closed_form_and_the_mesh(K, N, u):
     # the Ritz route's region inside the box the shooting test also covers
     r0 = u * min(2.5, 0.9 * max_diameter(K, N))
     h = Density.model(K, N)
-    assume(eigensolve._spectral_reach(h, r0) < eigensolve._SPECTRAL_REACH)
+    assume(eigensolve._spectral_reach(h._unit(r0)) < eigensolve._SPECTRAL_REACH)
     sol = first_dirichlet_eigen(h, r0)
     assert sol.method == "spectral"
     assert sol.flux_residual <= 100.0 * 1e-8
@@ -578,56 +579,16 @@ def test_ritz_route_solves_the_large_n_end_of_the_kk_curve(N):
     assert sol.eigenvalue == pytest.approx(closed_form_bound(K, N, 1.0).value, rel=1e-9)
 
 
-@pytest.mark.parametrize("N", [100.0, 300.0, 1000.0, 2000.0])
-def test_cut_below_the_mass_keeps_the_eigenvalue(monkeypatch, N):
-    # at large N all but 1e-16 of h phi^2 lies near r0: after the first
-    # level only [a, r0] is refined, with a natural end at a
-    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
-    sol = first_dirichlet_eigen(_kk_curve(N), 1.0)
-    hist = np.asarray(sol.refinement_history)
-    assert sol.grid[1] > 0.4
-    assert np.all(np.diff(hist) <= 1e-13 * hist[1:]), hist
-    assert sol.flux_residual <= 100.0 * 1e-8
-    monkeypatch.setattr(eigensolve, "_CUT_SHARE", 0.0)
-    uncut = first_dirichlet_eigen(_kk_curve(N), 1.0)
-    assert uncut.grid[1] < 1e-5
-    assert sol.eigenvalue == pytest.approx(uncut.eigenvalue, rel=1e-9)
-    assert len(sol.refinement_history) == len(uncut.refinement_history)
-    # the first level only estimates the share below a; the converged
-    # eigenfunction's share stays within a small factor of the target
-    a, phi = sol.grid[1], eigensolve._cubic_hermite(uncut.grid, uncut.phi, uncut.dphi)
-    share = (weighted_integral(lambda t: phi(t)[0] ** 2, _kk_curve(N), 0.0, a)
-             / weighted_integral(lambda t: phi(t)[0] ** 2, _kk_curve(N), 0.0, 1.0))
-    assert share < 1e-15
-    # a node count, not a timing: the uncut mesh reaches 66 177 nodes at N = 2000
-    assert N != 2000.0 or sol.grid.size <= 8500
-
-
-def test_a_cut_that_removes_no_node_changes_nothing(monkeypatch):
-    monkeypatch.setattr(eigensolve, "_SPECTRAL_REACH", 0.0)  # the mesh route
-    sol = first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
-    monkeypatch.setattr(eigensolve, "_CUT_SHARE", 0.0)
-    ref = first_dirichlet_eigen(Density.model(-4.0, 3.0), 1.0)
-    assert sol.grid.tolist() == ref.grid.tolist()
-    assert sol.refinement_history == ref.refinement_history
-    assert (sol.eigenvalue, sol.flux_residual) == (ref.eigenvalue, ref.flux_residual)
-    assert sol.dphi.tolist() == ref.dphi.tolist()
-
-
-@pytest.mark.parametrize("dim", [2.0, 3.5])
-def test_cut_keeps_the_sample_nodes_above_it_as_breaks(dim):
-    # h is 1e-30 up to the sample node 0.35, so the cut lands there; slopes
-    # are recovered on [a, r0] alone, one-sided at every sample node above a
-    grid = np.linspace(0.0, 1.0, 21)
-    h = Density.sampled(grid, np.where(grid < 0.4, 1e-30, 1.0 + grid), interp_dim=dim)
-    sol = first_dirichlet_eigen(h, 1.0)
-    a = sol.grid[1]
-    assert a == grid[7]
-    assert np.isin(grid[grid > a], sol.grid).all()
-    breaks = grid[(grid > a) & (grid < 1.0)]
-    slopes = eigensolve._poly_derivative(sol.grid[1:], sol.phi[1:], breaks)
-    assert sol.dphi[0] == 0.0 and sol.dphi[1:].tolist() == slopes.tolist()
-    assert sol.flux_residual <= 100.0 * 1e-8
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["matrix", "shooting"])
+@pytest.mark.parametrize("N", [1e17, 1e155, 1e300])
+def test_huge_n_is_a_coded_error(method, N):
+    # the Gauss-Jacobi nodes round to x = 1 from N ~ 1e15, and the Jacobi
+    # matrix overflows from N ~ 3e154; the finite elements' mass has
+    # underflowed on every row of the first mesh long before
+    with pytest.raises(NonconvergenceError) as exc:
+        first_dirichlet_eigen(Density.model(0.0, N), 1.0, method=method)
+    assert exc.value.code == "refinement"
 
 
 def test_model_near_N_1_is_an_upper_bound_within_five_levels(monkeypatch):
@@ -709,6 +670,28 @@ def test_shooting_ode_work(monkeypatch, K, N, r0, max_integrations, max_nfev):
     # shooting must integrate through the module's solve_ivp, or the
     # budgets above check nothing
     assert 1 <= count["integrations"] <= max_integrations
+
+
+def test_shooting_at_n_1e5_ends_in_stiffness(monkeypatch):
+    # at the start point 1e-6 the coefficient (log h)' = (N - 1)/t is 1e11,
+    # and LSODA spends its budget of 500 steps before the first node; with
+    # no budget it ran without end.  rhs evaluations are counted as in
+    # test_shooting_ode_work, so a run past the budget fails at once
+    count = [0]
+    solve_ivp = eigensolve.solve_ivp
+
+    def counted(fun, *args, **kwargs):
+        def rhs(t, y):
+            count[0] += 1
+            assert count[0] <= 2000, "ODE right-hand side evaluations over budget"
+            return fun(t, y)
+
+        return solve_ivp(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "solve_ivp", counted)
+    with pytest.raises(NonconvergenceError, match="Excess work") as exc:
+        first_dirichlet_eigen(Density.model(0.0, 1e5), 1.0, method="shooting")
+    assert exc.value.code == "stiffness"
 
 
 def test_solve_ivp_matches_scipy_lsoda():
@@ -813,22 +796,26 @@ def test_shooting_start_cache_under_threads(monkeypatch):
 
 
 def test_shoot_eigen_bracket_behavior(monkeypatch):
-    # flat weight: lambda = (pi/2)^2.  Newton may not leave (1 -/+ 1e-3)
-    # times the first level's value, so a start at 4 lambda raises bracket
+    # flat weight: lambda = (pi/2)^2.  Newton is not held near its start:
+    # from twice the first level's value it still reaches lambda_1, and
+    # from four times it reaches lambda_2 = 9 lambda_1, which the Sturm
+    # check rejects
     h = Density.sampled([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
     lam = (math.pi / 2.0) ** 2
-    out = first_dirichlet_eigen(h, 1.0, method="shooting").eigenvalue
-    assert out == pytest.approx(lam, rel=1e-9)
     first_level = eigensolve._first_level
+    for factor in (1.0, 2.0, 4.0):
+        def scaled(h):
+            prob, est, phi = first_level(h)
+            return prob, factor * est, phi
 
-    def fourfold(h, r0):
-        prob, est, phi = first_level(h, r0)
-        return prob, 4.0 * est, phi
-
-    monkeypatch.setattr(eigensolve, "_first_level", fourfold)
-    with pytest.raises(PreconditionError, match="leaves the bracket") as exc:
-        first_dirichlet_eigen(h, 1.0, method="shooting")
-    assert exc.value.code == "bracket"
+        monkeypatch.setattr(eigensolve, "_first_level", scaled)
+        if factor < 4.0:
+            out = first_dirichlet_eigen(h, 1.0, method="shooting").eigenvalue
+            assert out == pytest.approx(lam, rel=1e-9), factor
+            continue
+        with pytest.raises(NonconvergenceError, match="not certified") as exc:
+            first_dirichlet_eigen(h, 1.0, method="shooting")
+        assert exc.value.code == "shooting"
 
 
 def test_shooting_rejects_a_root_above_the_first_eigenvalue(monkeypatch):
@@ -838,8 +825,8 @@ def test_shooting_rejects_a_root_above_the_first_eigenvalue(monkeypatch):
     h = Density.sampled([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
     first_level = eigensolve._first_level
 
-    def ninefold(h, r0):
-        prob, lam, phi = first_level(h, r0)
+    def ninefold(h):
+        prob, lam, phi = first_level(h)
         return prob, 9.0 * lam, phi
 
     monkeypatch.setattr(eigensolve, "_first_level", ninefold)
@@ -895,7 +882,7 @@ def test_smooth_sampled_density_passes_the_flux_gate():
 
 
 def _graded_nodes():
-    return eigensolve._initial_nodes(Density.model(0.0, 3.0), 1.0)
+    return eigensolve._initial_nodes(Density.model(0.0, 3.0))
 
 
 def _stencil_rounding(x, y):

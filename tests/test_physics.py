@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from types import SimpleNamespace
@@ -320,13 +321,32 @@ def test_cli_grid_points_beyond_the_cap_exits_two(capsys):
     assert error["code"] == "domain" and "grid_points" in error["message"]
 
 
+# The nine specs (D, d, Lambda, sigma, diam) of the ROADMAP baseline.
+KK_SPECS = [(6, 4, 1.0, 2.0, 2.0), (7, 4, 1.0, 2.0, 2.0), (7, 4, 0.0, 0.0, 2.0),
+            (7, 4, -1.0, 1.0, 3.0), (7, 4, 0.5, 0.3, 1.0), (7, 4, -3.0, 1.0, 10.0),
+            (7, 4, 1.0, 2.0, 0.01), (10, 4, 1.0, 1.0, 2.0), (5, 4, 0.0, 1.0, 2.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _solver_and_closed_scans(D, d, Lambda, sigma, diam):
+    spec = CompactificationSpec(D=D, d=d, Lambda=Lambda, sigma_w=sigma, diam=diam)
+    return (kk_mass_bound_optimal(spec, j=1, method="solver"),
+            kk_mass_bound_optimal(spec, j=1, method="closed_form"))
+
+
+@pytest.mark.parametrize("spec", KK_SPECS, ids=lambda s: "-".join(f"{v:g}" for v in s))
+def test_kk_solver_scan_completes_below_the_closed_form(spec):
+    # every scan completes, and its bound lies at or below the closed-form
+    # scan's, which is an upper bound at every N.  Six of the nine solve
+    # their lower N end, where the reach is 10 or more, by finite elements
+    solved, closed = _solver_and_closed_scans(*spec)
+    assert solved.bound <= closed.bound * (1.0 + 1e-8)
+
+
 def test_solver_scan_completes_through_n_3000():
     # D - d = 3 scans up to N = 3000, where the matrix route needs the
-    # factorization-certified shift; the solver's bound lies at or below
-    # the closed form's, which is an upper bound at every N
-    spec = CompactificationSpec(D=7, d=4, Lambda=1.0, sigma_w=2.0, diam=2.0)
-    solved = kk_mass_bound_optimal(spec, j=1, method="solver")
-    closed = kk_mass_bound_optimal(spec, j=1, method="closed_form")
+    # factorization-certified shift; the scan brackets its minimum
+    solved, closed = _solver_and_closed_scans(7, 4, 1.0, 2.0, 2.0)
     assert solved.bracketed
     assert solved.bound <= closed.bound
 
@@ -334,11 +354,8 @@ def test_solver_scan_completes_through_n_3000():
 def test_solver_scan_reaches_its_lower_end():
     # D - d = 1: K(N) is about -1000 at the scan's lower end N = 1.001, where
     # the weight at the scale of r0 overflowed; solved on [0, 1] the scan
-    # completes, its minimum at that end (unbracketed), below the
-    # closed-form scan's bound, which is an upper bound at every N
-    spec = CompactificationSpec(D=5, d=4, Lambda=0.0, sigma_w=1.0, diam=2.0)
-    solved = kk_mass_bound_optimal(spec, j=1, method="solver")
-    closed = kk_mass_bound_optimal(spec, j=1, method="closed_form")
+    # completes, its minimum at that end (unbracketed)
+    solved, closed = _solver_and_closed_scans(5, 4, 0.0, 1.0, 2.0)
     assert not solved.bracketed
     assert solved.N_star == pytest.approx(1.001, rel=1e-12)
     assert solved.bound <= closed.bound
